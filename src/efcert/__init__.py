@@ -8,21 +8,19 @@ the pipeline overview and the CLI.
 """
 
 from .algebra import (Poly, RatFunc, RatSeries, Rational, cofactor, den,
-                      det_exact, kernel_basis, poly_derivative)
+                      det_exact, kernel_basis)
 from .auxiliary import (AuxiliaryBasis, RemainderSeries, construct,
                         default_eps1, remainder, vanishing_order_target)
 from .efunction import (DiffSystem, GrowthCertificate, SystemParams,
-                        augment_exp, catalog, coefficients, extract_params,
-                        make_system, rescale)
+                        augment_exp, catalog, extract_params, make_system,
+                        rescale)
 from .errors import (AllComponentsZero, DegenerateFit, EfcertError,
                      ExhaustedN, InconsistentSeeds, InputError,
                      IrregularSingularPoint, MissingExponentBound,
                      MissingGrowthCertificate, NonPositiveValue,
                      RankDeficientLadder, SingularEvaluationPoint,
                      TargetInSpanFailure, UnderdeterminedSeeds)
-from .evalcert import (RatInterval, eval_component, eval_exp,
-                       interval_abs_lower, interval_abs_upper,
-                       strictly_positive)
+from .evalcert import RatInterval, eval_component, eval_exp
 from .forms import (BoundCertificate, FormsLadder, IntegerForms,
                     adaptive_bound, build_ladder, certified_lower_bound,
                     evaluate_forms, ladder_length)
@@ -31,7 +29,6 @@ from .logmeasure import (LogBoundResult, LogConfig, exponent_fit,
 from .sysdesc import emit_system, parse_system
 from .zeroestimate import (ExponentData, IndicialData, N0Bound,
                            exponent_ceiling, exponent_data,
-                           exponent_for_exp_block, indicial_exponents,
-                           n0_bound, n0_for_system)
+                           indicial_exponents, n0_bound, n0_for_system)
 
 __version__ = "0.1.0"

@@ -564,11 +564,6 @@ def cofactor(matrix: Sequence[Sequence[int]], i: int, j: int) -> int:
     return sign * det_exact(minor)
 
 
-def poly_derivative(p: Poly) -> Poly:
-    """Formal derivative (module-level spelling of Poly.derivative)."""
-    return p.derivative()
-
-
 class RowBasis:
     """Incremental exact rank tracking for integer/rational row vectors.
 
@@ -580,10 +575,6 @@ class RowBasis:
     def __init__(self, width: int):
         self.width = width
         self._echelon: list[tuple[int, list[Fraction]]] = []
-
-    @property
-    def rank(self) -> int:
-        return len(self._echelon)
 
     def _reduce(self, row: Sequence[Rational | int]) -> list[Fraction]:
         v = [Fraction(e) for e in row]

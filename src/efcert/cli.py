@@ -154,7 +154,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bmax", type=int, required=True)
     p.add_argument("--window", required=True)
     p.add_argument("--csv", default=None)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="accepted and ignored: rows run serially")
     p.add_argument("--n-max", type=int, default=None)
     p.add_argument("--precision", type=int, default=256)
 
@@ -173,26 +174,18 @@ def _load(arg: str) -> tuple[DiffSystem, str]:
     return parse_system(path), path.name
 
 
-def _default_n_max(sys: DiffSystem, given: int | None) -> int:
-    if given is not None:
-        return given
-    return 4 * zeroestimate.n0_for_system(sys).value
-
-
-def cmd_params(args) -> int:
-    system, name = _load(args.system)
+def _system_parameters(system: DiffSystem
+                       ) -> tuple[dict, zeroestimate.ExponentData | None]:
+    """The effectivity parameters and n0 bound shared by ``params`` and
+    ``bound``; exponent data is None when a point lacks an exponent bound."""
     params = extract_params(system)
     try:
         data = zeroestimate.exponent_data(system)
         ceiling = data.ceiling
         n0 = zeroestimate.n0_bound(system.m, params.q, ceiling).value
-    except MissingExponentBound as exc:
-        ceiling = None
-        n0 = None
-        data = None
-    doc = {
-        "command": "params",
-        "system": name,
+    except MissingExponentBound:
+        data = ceiling = n0 = None
+    return {
         "m": system.m,
         "p": params.p,
         "q": params.q,
@@ -200,6 +193,23 @@ def cmd_params(args) -> int:
         "T": poly_str(params.T),
         "exponent_ceiling": ceiling,
         "n0_bound": n0,
+    }, data
+
+
+def _log_config(args) -> logmeasure.LogConfig:
+    return logmeasure.LogConfig(precision_bits=args.precision,
+                                max_precision_bits=max(1024,
+                                                       4 * args.precision),
+                                n_max=args.n_max)
+
+
+def cmd_params(args) -> int:
+    system, name = _load(args.system)
+    block, data = _system_parameters(system)
+    doc = {
+        "command": "params",
+        "system": name,
+        **block,
         "eps1_default": frac_str(auxiliary.default_eps1(system.m)),
         "growth": None if system.growth is None else {
             "C": frac_str(system.growth.C), "D": frac_str(system.growth.D),
@@ -239,26 +249,15 @@ def _parse_target(text: str) -> tuple[int, ...]:
 
 
 def _parameter_block(system: DiffSystem, n: int, eps1) -> dict:
-    p = extract_params(system)
+    block, _ = _system_parameters(system)
     eps1 = auxiliary.validate_eps1(system.m, eps1) if eps1 is not None \
         else auxiliary.default_eps1(system.m)
-    try:
-        ceiling = zeroestimate.exponent_ceiling(system)
-        n0 = zeroestimate.n0_bound(system.m, p.q, ceiling).value
-    except MissingExponentBound:
-        ceiling = None
-        n0 = None
+    ladder = forms.ladder_length(system.m, block["q"], block["p"], n, eps1)
     return {
-        "m": system.m,
-        "p": p.p,
-        "q": p.q,
-        "E": frac_str(p.E),
-        "T": poly_str(p.T),
-        "exponent_ceiling": ceiling,
-        "n0_bound": n0,
+        **block,
         "eps1": frac_str(eps1),
         "tau": auxiliary.vanishing_order_target(system.m, n, eps1),
-        "t1": forms.ladder_length(system.m, p.q, p.p, n, eps1) - system.m,
+        "t1": ladder - system.m,
     }
 
 
@@ -267,7 +266,8 @@ def cmd_bound(args) -> int:
     xi = parse_rational(args.xi)
     target = _parse_target(args.target)
     eps1 = parse_rational(args.eps1) if args.eps1 else None
-    n_max = _default_n_max(system, args.n_max)
+    n_max = args.n_max if args.n_max is not None \
+        else forms.default_n_max(system)
     doc = {"command": "bound", "system": name, "xi": frac_str(xi),
            "target": [str(a) for a in target], "n_max": n_max}
     try:
@@ -290,10 +290,7 @@ def cmd_logbound(args) -> int:
     system, name = _load(args.system)
     xi = parse_rational(args.xi)
     approx = parse_rational(args.approx)
-    config = logmeasure.LogConfig(precision_bits=args.precision,
-                                  max_precision_bits=max(1024,
-                                                         4 * args.precision),
-                                  n_max=args.n_max)
+    config = _log_config(args)
     doc = {"command": "logbound", "system": name, "xi": frac_str(xi),
            "approx": frac_str(approx)}
     try:
@@ -335,12 +332,8 @@ def cmd_scan(args) -> int:
     system, name = _load(args.system)
     xi = parse_rational(args.xi)
     window = parse_rational(args.window)
-    config = logmeasure.LogConfig(precision_bits=args.precision,
-                                  max_precision_bits=max(1024,
-                                                         4 * args.precision),
-                                  n_max=args.n_max)
-    rows = logmeasure.measure_scan(system, xi, args.bmax, window, config,
-                                   jobs=max(1, args.jobs))
+    rows = logmeasure.measure_scan(system, xi, args.bmax, window,
+                                   _log_config(args))
     text = scan_rows_to_csv(rows)
     if args.csv:
         Path(args.csv).write_text(text, encoding="utf-8")

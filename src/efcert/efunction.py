@@ -254,10 +254,6 @@ def _solve_recurrence(sys: DiffSystem, nmax: int) -> list[tuple[Fraction, ...]]:
             for k in range(nmax + 1)]
 
 
-def coefficients(sys: DiffSystem, order: int) -> list[RatSeries]:
-    return sys.coefficients(order)
-
-
 # ---------------------------------------------------------------------------
 # Construction helpers
 # ---------------------------------------------------------------------------

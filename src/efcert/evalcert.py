@@ -64,15 +64,6 @@ class RatInterval:
             return RatInterval(self.lo * c, self.hi * c)
         return RatInterval(self.hi * c, self.lo * c)
 
-    def contains(self, x: Rational | int) -> bool:
-        return self.lo <= Fraction(x) <= self.hi
-
-    def intersects(self, other: "RatInterval") -> bool:
-        return self.lo <= other.hi and other.lo <= self.hi
-
-    def hull(self, other: "RatInterval") -> "RatInterval":
-        return RatInterval(min(self.lo, other.lo), max(self.hi, other.hi))
-
     def abs_lower(self) -> Fraction:
         """Exact lower bound for |x| over the interval."""
         if self.lo > 0:
@@ -99,31 +90,15 @@ class RatInterval:
         return RatInterval(lo, Fraction(hi_num, scale))
 
 
-def interval_abs_lower(iv: RatInterval) -> Fraction:
-    return iv.abs_lower()
-
-
-def interval_abs_upper(iv: RatInterval) -> Fraction:
-    return iv.abs_upper()
-
-
-def strictly_positive(iv: RatInterval) -> bool:
-    return iv.strictly_positive()
-
-
 # ---------------------------------------------------------------------------
 # Series evaluation
 # ---------------------------------------------------------------------------
 
 def _grid_bits(width: Fraction) -> int:
-    """Smallest b with 2^-b <= width/8."""
-    target = width / 8
-    bits = 1
-    grid = Fraction(1, 2)
-    while grid > target:
-        grid /= 2
-        bits += 1
-    return bits
+    """Smallest b >= 1 with 2^-b <= width/8, i.e. num * 2^b >= 8 den."""
+    num, den8 = width.numerator, 8 * width.denominator
+    bits = max(1, den8.bit_length() - num.bit_length())
+    return bits if num << bits >= den8 else bits + 1
 
 
 def _geometric_tail(c: Fraction, x_abs: Fraction, n: int) -> Fraction | None:

@@ -37,6 +37,7 @@ from .errors import (ExhaustedN, InputError, MissingGrowthCertificate,
                      RankDeficientLadder, SingularEvaluationPoint,
                      TargetInSpanFailure)
 from .evalcert import RatInterval, eval_component
+from .zeroestimate import n0_for_system
 
 logger = logging.getLogger(__name__)
 
@@ -263,6 +264,11 @@ def _remainder_cutoff(basis: AuxiliaryBasis, K: int, t_deg: int,
             + K * (t_deg + 1) + 24 + 3 * K + math.ceil(4 * c_hat * x_max))
 
 
+def _check_precision(precision_bits: int):
+    if precision_bits < 1:
+        raise InputError("precision must be >= 1 bit")
+
+
 def certified_lower_bound(sys: DiffSystem, xi: Rational,
                           target: Sequence[int], n: int, *,
                           eps1: Rational | None = None,
@@ -284,6 +290,7 @@ def certified_lower_bound(sys: DiffSystem, xi: Rational,
         raise InputError(f"target must have {m} entries")
     if all(a == 0 for a in target):
         raise InputError("target vector must be nonzero")
+    _check_precision(precision_bits)
     _check_evaluation_point(sys, xi)
     if sys.growth is None:
         raise MissingGrowthCertificate(
@@ -358,6 +365,11 @@ def certified_lower_bound(sys: DiffSystem, xi: Rational,
         row_upper_bounds=uppers, f_ell_lower=f_lower, lower_bound=bound)
 
 
+def default_n_max(sys: DiffSystem) -> int:
+    """Last degree the adaptive loop tries when no n_max is given: 4 n0."""
+    return 4 * n0_for_system(sys).value
+
+
 def adaptive_bound(sys: DiffSystem, xi: Rational, target: Sequence[int], *,
                    n_start: int = 1, n_max: int | None = None,
                    eps1: Rational | None = None,
@@ -366,9 +378,9 @@ def adaptive_bound(sys: DiffSystem, xi: Rational, target: Sequence[int], *,
     recorded on the returned certificate (or on the ExhaustedN error)."""
     if n_start < 1:
         raise InputError("n_start must be >= 1")
+    _check_precision(precision_bits)
     if n_max is None:
-        from .zeroestimate import n0_for_system
-        n_max = 4 * n0_for_system(sys).value
+        n_max = default_n_max(sys)
     xi = Fraction(xi)
     _check_evaluation_point(sys, xi)
     width = Fraction(1, 2 ** precision_bits)

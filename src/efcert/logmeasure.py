@@ -16,8 +16,6 @@ result records which.
 from __future__ import annotations
 
 import math
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -38,14 +36,20 @@ PATH_NONE = "none"
 
 @dataclass(frozen=True)
 class LogConfig:
-    """Knobs for the pipeline; defaults match the CLI."""
+    """Precision and degree limits of the pipeline; defaults match the CLI.
+
+    Intervals start at width 2^-precision_bits and are refined by doubling
+    the bits up to max_precision_bits; the forms route tries n = 1..n_max
+    (4 n0 when None) at the default eps1.
+    """
 
     precision_bits: int = 256
     max_precision_bits: int = 1024
-    n_start: int = 1
     n_max: int | None = None
-    eps1: Rational | None = None
-    compute_oracle: bool = True
+
+    def __post_init__(self):
+        if self.precision_bits < 1:
+            raise InputError("precision must be >= 1 bit")
 
 
 @dataclass(frozen=True)
@@ -121,9 +125,7 @@ def log_lower_bound(sys: DiffSystem, xi: Rational, a: int, b: int,
     forms_failure = None
     try:
         forms_cert = adaptive_bound(aug, Fraction(1), target,
-                                    n_start=config.n_start,
                                     n_max=config.n_max,
-                                    eps1=config.eps1,
                                     precision_bits=config.precision_bits)
     except ExhaustedN as exc:
         forms_failure = f"{exc} ({len(exc.attempts)} attempts)"
@@ -167,7 +169,7 @@ def log_lower_bound(sys: DiffSystem, xi: Rational, a: int, b: int,
         guard = None
 
     oracle = None
-    if config.compute_oracle and omega_lower > 0:
+    if omega_lower > 0:
         oracle = RatInterval(diff.abs_lower() / omega_upper,
                              diff.abs_upper() / omega_lower)
 
@@ -222,14 +224,13 @@ def _exp_leq_value(r: Fraction, value_fn, bits_start: int,
 
 
 def measure_scan(sys: DiffSystem, xi: Rational, b_max: int,
-                 window: Rational, config: LogConfig = LogConfig(),
-                 jobs: int = 1) -> list[LogBoundResult]:
+                 window: Rational, config: LogConfig = LogConfig()
+                 ) -> list[LogBoundResult]:
     """One row per reduced a/b with b <= b_max and |a/b - ln f(xi)| <= window.
 
     Membership is decided exactly through the equivalence
     a/b - w <= ln V <= a/b + w  iff  e^(a/b - w) <= V <= e^(a/b + w).
-    Rows are computed independently (optionally in threads) and returned
-    sorted by (b, a); the result is identical for any job count.
+    Rows are computed one after another and returned sorted by (b, a).
     """
     xi = Fraction(xi)
     window = Fraction(window)
@@ -240,15 +241,13 @@ def measure_scan(sys: DiffSystem, xi: Rational, b_max: int,
     base = sys if xi == 1 else rescale(sys, xi)
     f_iv = _positive_value_interval(base, 0, Fraction(1), config)
 
-    cache_lock = threading.Lock()
     cache: dict[int, RatInterval] = {}
 
     def value_fn(bits: int) -> RatInterval:
-        with cache_lock:
-            if bits not in cache:
-                cache[bits] = eval_component(base, 0, Fraction(1),
-                                             Fraction(1, 2 ** bits))
-            return cache[bits]
+        if bits not in cache:
+            cache[bits] = eval_component(base, 0, Fraction(1),
+                                         Fraction(1, 2 ** bits))
+        return cache[bits]
 
     ln_mid = math.log(float(Fraction(f_iv.lo + f_iv.hi, 2)))
     w_f = float(window)
@@ -268,17 +267,7 @@ def measure_scan(sys: DiffSystem, xi: Rational, b_max: int,
             if inside:
                 pairs.append((b, a))
     pairs.sort()
-
-    def run(pair):
-        b, a = pair
-        return log_lower_bound(sys, xi, a, b, config)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(run, pairs))
-    else:
-        rows = [run(p) for p in pairs]
-    return rows
+    return [log_lower_bound(sys, xi, a, b, config) for b, a in pairs]
 
 
 def exponent_fit(rows: Sequence[LogBoundResult]) -> tuple[float, float]:

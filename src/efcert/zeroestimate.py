@@ -49,12 +49,6 @@ def n0_bound(m: int, q: int, exponent_ceiling: int) -> N0Bound:
     return N0Bound(value=value, m=m, q=q, exponent_ceiling=exponent_ceiling)
 
 
-def exponent_for_exp_block(beta: Rational | int) -> tuple[Fraction]:
-    """exp(beta z) contributes the exponent 0 at every point."""
-    Fraction(beta)
-    return (Fraction(0),)
-
-
 # ---------------------------------------------------------------------------
 # Indicial exponents at a simple pole
 # ---------------------------------------------------------------------------

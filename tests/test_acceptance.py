@@ -29,7 +29,7 @@ from fractions import Fraction as F
 
 from efcert import cli
 from efcert.auxiliary import construct, vanishing_order_target
-from efcert.efunction import augment_exp, coefficients, extract_params
+from efcert.efunction import augment_exp, extract_params
 from efcert.evalcert import eval_component, eval_exp
 from efcert.forms import (adaptive_bound, build_ladder, evaluate_forms,
                           ladder_length)
@@ -90,7 +90,7 @@ def _run_criterion_2() -> tuple[str, float]:
         sys = builder()
         for n in range(2, 25):
             basis = construct(sys, n)
-            series = coefficients(sys, basis.tau - 1)
+            series = sys.coefficients(basis.tau - 1)
             combo = series[0].mul_poly(basis.polys[0])
             for p, s in zip(basis.polys[1:], series[1:]):
                 combo = combo + s.mul_poly(p)
@@ -128,7 +128,7 @@ def _run_criterion_3() -> tuple[str, float]:
                 for p in row:
                     assert p.degree <= n + k * params.q, (name, n, k)
             order = basis.achieved_order + k_len * (params.q + 1) + 8
-            series = coefficients(sys, order)
+            series = sys.coefficients(order)
             combos = []
             for row in ladder.rows:
                 acc = series[0].mul_poly(row[0])

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from efcert.algebra import (Poly, RatFunc, RatSeries, cofactor, det_exact,
-                            kernel_basis, poly_derivative)
+                            kernel_basis)
 
 
 class TestKernel:
@@ -82,9 +82,9 @@ class TestCofactor:
 
 class TestPoly:
     def test_derivative_examples(self):
-        assert poly_derivative(Poly([1, 0, 1])) == Poly([0, 2])
-        assert poly_derivative(Poly([2, 1])) == Poly([1])
-        assert poly_derivative(Poly([7])) == Poly([])
+        assert Poly([1, 0, 1]).derivative() == Poly([0, 2])
+        assert Poly([2, 1]).derivative() == Poly([1])
+        assert Poly([7]).derivative() == Poly([])
 
     def test_zero_degree_sentinel(self):
         assert Poly([]).degree == -1

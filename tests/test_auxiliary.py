@@ -8,7 +8,6 @@ import pytest
 from efcert.algebra import Poly
 from efcert.auxiliary import (construct, default_eps1, remainder,
                               vanishing_order_target)
-from efcert.efunction import coefficients
 from efcert.errors import InputError
 
 
@@ -51,7 +50,7 @@ class TestConstruct:
         basis = construct(j0, 2, F(1, 4))
         assert basis.tau == 5
         assert basis.achieved_order >= 5
-        series = coefficients(j0, 12)
+        series = j0.coefficients(12)
         combo = series[0].mul_poly(basis.polys[0]) \
             + series[1].mul_poly(basis.polys[1])
         for k in range(min(basis.achieved_order, 13)):

@@ -1,7 +1,13 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
+
+import pytest
 
 from efcert import cli
 from efcert.sysdesc import catalog_file
@@ -121,6 +127,27 @@ class TestScanCommand:
                                  "--n-max", "12", "--jobs", "4")
         assert code1 == code4 == 0
         assert out1 == out4
+
+
+class TestPrecisionOption:
+    @pytest.mark.parametrize("precision", ["0", "-1"])
+    @pytest.mark.parametrize("argv", [
+        ["bound", "exp_pair", "--xi", "1", "--target", "3,-1"],
+        ["logbound", "bessel_j0", "--xi", "1", "--approx", "-1/4"],
+        ["scan", "bessel_j0", "--xi", "1", "--bmax", "3", "--window", "1"],
+    ], ids=["bound", "logbound", "scan"])
+    def test_nonpositive_precision_exits_3(self, argv, precision):
+        # A child process, so that a hang fails on the timeout and a crash
+        # shows its traceback on stderr.
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "efcert.cli", *argv,
+             "--precision", precision],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 3
+        assert "Traceback" not in proc.stderr
+        assert "precision" in proc.stderr
 
 
 class TestEmitCommand:

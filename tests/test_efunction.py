@@ -8,8 +8,7 @@ import pytest
 
 from efcert.algebra import Poly, RatFunc, lcm_list
 from efcert.efunction import (DiffSystem, GrowthCertificate, augment_exp,
-                              catalog, coefficients, extract_params,
-                              make_system, rescale)
+                              catalog, extract_params, make_system, rescale)
 from efcert.errors import (AllComponentsZero, InconsistentSeeds, InputError,
                            UnderdeterminedSeeds)
 
@@ -24,17 +23,17 @@ def bessel_A():
 
 class TestCoefficients:
     def test_exp_pair(self, exp_pair):
-        s1, s2 = coefficients(exp_pair, 2)
+        s1, s2 = exp_pair.coefficients(2)
         assert s1.coeffs == (F(1), F(1), F(1, 2))
         assert s2.coeffs == (F(1), F(2), F(2))
 
     def test_bessel_series(self, j0):
         # oracle: J0 = sum (-1)^n (z/2)^(2n) / n!^2, expanded by hand
-        s = coefficients(j0, 4)[0]
+        s = j0.coefficients(4)[0]
         assert s.coeffs == (F(1), F(0), F(-1, 4), F(0), F(1, 64))
 
     def test_bessel_closed_form_to_order_30(self, j0):
-        s = coefficients(j0, 30)[0]
+        s = j0.coefficients(30)[0]
         for n in range(16):
             expected = F((-1) ** n, 4 ** n * math.factorial(n) ** 2)
             assert s.coefficient(2 * n) == expected
@@ -57,7 +56,7 @@ class TestCoefficients:
                  (RatFunc(Poly.constant(F(1, 3)), z),
                   RatFunc(Poly((F(-1, 2), 1)), z)))
         sys = make_system(a_mat, ((F(1),), (F(2, 3),)))
-        assert coefficients(sys, 1)[1].coefficient(0) == F(2, 3)
+        assert sys.coefficients(1)[1].coefficient(0) == F(2, 3)
 
 
 class TestExtractParams:
@@ -97,13 +96,13 @@ class TestAugmentExp:
 
     def test_beta_zero_appends_constant_one(self, j0):
         aug = augment_exp(j0, 0)
-        s = coefficients(aug, 5)[2]
+        s = aug.coefficients(5)[2]
         assert s.coeffs == (F(1), 0, 0, 0, 0, 0)
 
     def test_last_component_is_exp_series(self, j0):
         beta = F(-3, 7)
         aug = augment_exp(j0, beta)
-        s = coefficients(aug, 12)[3 - 1]
+        s = aug.coefficients(12)[3 - 1]
         for k in range(13):
             assert s.coefficient(k) == beta ** k / math.factorial(k)
 
@@ -118,7 +117,7 @@ class TestRescale:
     def test_exp_scaling(self):
         base, _ = catalog("exp", beta=1)
         doubled = rescale(base, 2)
-        s = coefficients(doubled, 6)[0]
+        s = doubled.coefficients(6)[0]
         for k in range(7):
             assert s.coefficient(k) == F(2) ** k / math.factorial(k)
 
@@ -135,8 +134,8 @@ class TestRescale:
     def test_dilated_coefficients(self, j0):
         xi = F(3, 5)
         r = rescale(j0, xi)
-        orig = coefficients(j0, 40)
-        scaled = coefficients(r, 40)
+        orig = j0.coefficients(40)
+        scaled = r.coefficients(40)
         for i in range(2):
             for k in range(41):
                 assert scaled[i].coefficient(k) == \
@@ -164,7 +163,7 @@ class TestCatalog:
         assert (cert.C, cert.D) == (F(1), F(2))
 
     def test_kummer_seeds(self, kummer):
-        s = coefficients(kummer, 3)[0]
+        s = kummer.coefficients(3)[0]
         # phi_k = (1/3)_k / (1/2)_k
         phi = [F(1), F(2, 3), F(16, 27), F(224, 405)]
         for k in range(4):
@@ -180,7 +179,7 @@ class TestCatalog:
 
     def test_polynomial_kummer_certificate(self):
         sys, cert = catalog("1f1", a=F(-2), b=F(1, 2))
-        s = coefficients(sys, 6)[0]
+        s = sys.coefficients(6)[0]
         assert all(s.coefficient(k) == 0 for k in range(3, 7))
         assert cert.C >= 1 and cert.D >= 1
 
@@ -190,7 +189,7 @@ class TestGrowthCertificates:
     def test_bounds_hold_to_k_200(self, builder, exp_pair, j0, kummer):
         sys = {"exp_pair": exp_pair, "bessel_j0": j0, "kummer": kummer}[builder]
         cert = sys.growth
-        series = coefficients(sys, 200)
+        series = sys.coefficients(200)
         for i in range(sys.m):
             dens = []
             for k in range(201):
@@ -210,7 +209,7 @@ def test_deterministic_rebuild():
     a = build_exp_pair()
     b = build_exp_pair()
     assert a == b
-    assert coefficients(a, 30) == coefficients(b, 30)
+    assert a.coefficients(30) == b.coefficients(30)
 
 
 def test_random_beta_augmentations_keep_structure(j0):

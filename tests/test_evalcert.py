@@ -1,11 +1,11 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction as F
 
 import pytest
 
-from efcert.evalcert import (RatInterval, eval_component, eval_exp,
-                             interval_abs_lower, strictly_positive)
+from efcert.evalcert import RatInterval, _grid_bits, eval_component, eval_exp
 
 # 55-digit references (standard published expansions; cross-checked against
 # mpmath direct summation in tests/oracles.py)
@@ -16,9 +16,9 @@ J01_REF = F("0.7651976865579665514497175261026632209092742897553252419")
 
 class TestRatInterval:
     def test_abs_lower_examples(self):
-        assert interval_abs_lower(RatInterval(-1, 2)) == 0
-        assert interval_abs_lower(RatInterval(F(1, 3), F(1, 2))) == F(1, 3)
-        assert interval_abs_lower(RatInterval(-2, -1)) == 1
+        assert RatInterval(-1, 2).abs_lower() == 0
+        assert RatInterval(F(1, 3), F(1, 2)).abs_lower() == F(1, 3)
+        assert RatInterval(-2, -1).abs_lower() == 1
 
     def test_ordering_enforced(self):
         with pytest.raises(ValueError):
@@ -39,8 +39,25 @@ class TestRatInterval:
         assert r.lo.denominator <= 256 and r.hi.denominator <= 256
 
     def test_strictly_positive(self):
-        assert strictly_positive(RatInterval(F(1, 10), 1))
-        assert not strictly_positive(RatInterval(0, 1))
+        assert RatInterval(F(1, 10), 1).strictly_positive()
+        assert not RatInterval(0, 1).strictly_positive()
+
+
+class TestGridBits:
+    def test_smallest_grid_within_an_eighth(self):
+        rng = random.Random(7)
+        widths = [F(1, 2 ** k) for k in range(1100)]
+        widths += [F(2 ** k) for k in range(1, 12)]
+        widths += [w * (1 + F(s, 2 ** 80)) for w in widths[:64]
+                   for s in (-1, 1)]
+        widths += [F(rng.randint(1, 10 ** rng.randint(1, 40)),
+                     rng.randint(1, 10 ** rng.randint(1, 60)))
+                   for _ in range(2000)]
+        for w in widths:
+            b = _grid_bits(w)
+            assert b >= 1
+            assert F(1, 2 ** b) <= w / 8
+            assert b == 1 or F(1, 2 ** (b - 1)) > w / 8
 
 
 class TestEvalExp:
@@ -89,7 +106,7 @@ class TestEvalComponent:
         for k in (5, 10, 20, 40):
             iv = eval_component(j0, 0, F(1, 2), F(1, 10 ** k))
             if prev is not None:
-                assert iv.intersects(prev)
+                assert iv.lo <= prev.hi and prev.lo <= iv.hi
             prev = iv
 
     def test_requires_growth(self):

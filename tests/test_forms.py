@@ -12,7 +12,7 @@ from efcert.errors import (ExhaustedN, InputError, RankDeficientLadder,
                            SingularEvaluationPoint)
 from efcert.forms import (adaptive_bound, build_ladder, certified_lower_bound,
                           evaluate_forms, ladder_length)
-from efcert.efunction import GrowthCertificate, coefficients
+from efcert.efunction import GrowthCertificate
 
 from oracles import linear_form_oracle
 
@@ -50,7 +50,7 @@ class TestBuildLadder:
         k_len = 4
         ladder = build_ladder(basis, j0, k_len)
         order = basis.achieved_order + k_len * 2 + 8
-        series = coefficients(j0, order)
+        series = j0.coefficients(order)
         combos = []
         for row in ladder.rows:
             acc = series[0].mul_poly(row[0])
@@ -96,6 +96,14 @@ class TestCertifiedLowerBound:
     def test_zero_target_rejected(self, exp_pair):
         with pytest.raises(InputError):
             certified_lower_bound(exp_pair, 1, (0, 0), 3)
+
+    def test_nonpositive_precision_rejected(self, exp_pair):
+        for bits in (0, -1):
+            with pytest.raises(InputError):
+                certified_lower_bound(exp_pair, 1, (3, -1), 3,
+                                      precision_bits=bits)
+            with pytest.raises(InputError):
+                adaptive_bound(exp_pair, 1, (3, -1), precision_bits=bits)
 
     def test_sign_invariance(self, exp_pair):
         a = certified_lower_bound(exp_pair, 1, (3, -1), 4)

@@ -6,11 +6,10 @@ from fractions import Fraction as F
 import pytest
 
 from efcert.algebra import Poly, RatFunc
-from efcert.efunction import augment_exp, make_system
+from efcert.efunction import augment_exp, catalog, make_system
 from efcert.errors import InputError, IrregularSingularPoint
 from efcert.zeroestimate import (exponent_ceiling, exponent_data,
-                                 exponent_for_exp_block, indicial_exponents,
-                                 n0_bound, n0_for_system)
+                                 indicial_exponents, n0_bound, n0_for_system)
 
 
 class TestN0Formula:
@@ -67,9 +66,8 @@ class TestIndicial:
             indicial_exponents(j0, "infinity")
 
     def test_exp_block(self):
-        assert exponent_for_exp_block(2) == (F(0),)
-        assert exponent_for_exp_block(0) == (F(0),)
-        assert exponent_for_exp_block(F(-5, 3)) == (F(0),)
+        for beta in (2, 0, F(-5, 3)):
+            assert exponent_ceiling(catalog("exp", beta=beta)[0]) == 0
 
 
 class TestExponentData:
