@@ -19,7 +19,7 @@ from .errors import (AllComponentsZero, DegenerateFit, EfcertError,
                      IrregularSingularPoint, MissingExponentBound,
                      MissingGrowthCertificate, NonPositiveValue,
                      RankDeficientLadder, SingularEvaluationPoint,
-                     TargetInSpanFailure, UnderdeterminedSeeds)
+                     UnderdeterminedSeeds)
 from .evalcert import RatInterval, eval_component, eval_exp
 from .forms import (BoundCertificate, FormsLadder, IntegerForms,
                     adaptive_bound, build_ladder, certified_lower_bound,

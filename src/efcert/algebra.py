@@ -1,12 +1,16 @@
 """Exact arithmetic substrate: rationals, dense polynomials, rational
 functions, truncated power series, and exact linear algebra.
 
-All numbers are :class:`fractions.Fraction` (arbitrary precision, always in
-lowest terms, positive denominator), so every value in the package is exact.
-Polynomials are dense coefficient tuples indexed by degree.  The linear
-algebra is deliberately small and deterministic: first-nonzero pivoting in
-row-major order, kernel vectors scaled to primitive integer vectors with a
-positive leading entry, so repeated runs produce identical output.
+Polynomial and series coefficients are :class:`fractions.Fraction`
+(arbitrary precision, always in lowest terms, positive denominator), so every
+value in the package is exact.  Polynomials are dense coefficient tuples
+indexed by degree.  The linear algebra runs on integers: each row's
+denominators are cleared once, and a single fraction-free Gauss-Jordan
+elimination serves both the kernel and the rank, while determinants use
+Bareiss elimination.  It is deliberately small and deterministic:
+first-nonzero pivoting in row-major order, kernel vectors scaled to primitive
+integer vectors with a positive leading entry, so repeated runs produce
+identical output.
 """
 
 from __future__ import annotations
@@ -21,17 +25,6 @@ Rational = Fraction
 def den(r: Rational) -> int:
     """Positive denominator of r in reduced form."""
     return Fraction(r).denominator
-
-
-def _lcm(a: int, b: int) -> int:
-    return a // math.gcd(a, b) * b
-
-
-def lcm_list(values: Iterable[int]) -> int:
-    out = 1
-    for v in values:
-        out = _lcm(out, abs(v)) if v else out
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -169,14 +162,8 @@ class Poly:
 
     def content(self) -> Fraction:
         """gcd of numerators over lcm of denominators; 0 for the zero poly."""
-        if not self.coeffs:
-            return Fraction(0)
-        num = 0
-        d = 1
-        for c in self.coeffs:
-            num = math.gcd(num, abs(c.numerator))
-            d = _lcm(d, c.denominator)
-        return Fraction(num, d)
+        return Fraction(math.gcd(*(c.numerator for c in self.coeffs)),
+                        math.lcm(*(c.denominator for c in self.coeffs)))
 
     def primitive(self) -> "Poly":
         """Integer-coefficient polynomial with content 1 and the sign of the
@@ -444,33 +431,50 @@ class RatSeries:
 # Exact linear algebra
 # ---------------------------------------------------------------------------
 
-def _as_fraction_rows(matrix: Sequence[Sequence[Rational | int]]) -> list[list[Fraction]]:
-    rows = [[Fraction(e) for e in row] for row in matrix]
-    if rows:
-        w = len(rows[0])
-        if any(len(r) != w for r in rows):
-            raise ValueError("matrix rows have unequal lengths")
-    return rows
+def _primitive(row: list[int]) -> list[int]:
+    """The integer row divided by the gcd of its entries."""
+    g = math.gcd(*row)
+    return [e // g for e in row] if g > 1 else row
 
 
-def _primitive_sign_normalized(vec: Sequence[Fraction]) -> tuple[int, ...]:
-    """Scale a rational vector to integer entries with content 1 and first
-    nonzero entry positive."""
-    d = 1
-    for e in vec:
-        d = _lcm(d, e.denominator)
-    ints = [int(e * d) for e in vec]
-    g = 0
-    for e in ints:
-        g = math.gcd(g, abs(e))
-    if g > 1:
-        ints = [e // g for e in ints]
-    for e in ints:
-        if e:
-            if e < 0:
-                ints = [-x for x in ints]
+def _reduce_rows(matrix: Sequence[Sequence[Rational | int]]
+                 ) -> tuple[list[list[int]], list[int]]:
+    """Reduced row echelon form over the integers: the nonzero rows, each a
+    primitive integer multiple of its RREF row, and their pivot columns.
+
+    Denominators are cleared row by row.  Gauss-Jordan elimination with
+    first-nonzero pivoting replaces row_i by p row_i - f row_r (p the pivot,
+    f the entry of row_i in the pivot column) and divides out the content,
+    so rows stay integral and small (fraction-free elimination after
+    Bareiss, Math. Comp. 1968).
+    """
+    rows = []
+    for row in matrix:
+        fs = [Fraction(e) for e in row]
+        d = math.lcm(*(f.denominator for f in fs))
+        rows.append(_primitive([f.numerator * (d // f.denominator)
+                                for f in fs]))
+    width = len(rows[0]) if rows else 0
+    if any(len(r) != width for r in rows):
+        raise ValueError("matrix rows have unequal lengths")
+    pivots: list[int] = []
+    for c in range(width):
+        r = len(pivots)
+        if r == len(rows):
             break
-    return tuple(ints)
+        pivot_row = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        prow = rows[r]
+        pv = prow[c]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if f and i != r:
+                rows[i] = _primitive([pv * e - f * p
+                                      for e, p in zip(row, prow)])
+        pivots.append(c)
+    return rows[:len(pivots)], pivots
 
 
 def kernel_basis(matrix: Sequence[Sequence[Rational | int]]) -> list[tuple[int, ...]]:
@@ -481,40 +485,31 @@ def kernel_basis(matrix: Sequence[Sequence[Rational | int]]) -> list[tuple[int, 
     with the first nonzero entry made positive.  Empty list iff the matrix
     has full column rank.
     """
-    rows = _as_fraction_rows(matrix)
-    if not rows or not rows[0]:
+    if not matrix or not matrix[0]:
         raise ValueError("kernel_basis needs at least one column")
-    ncols = len(rows[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, len(rows)):
-            if rows[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        pv = rows[r][c]
-        rows[r] = [e / pv for e in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [e - f * p for e, p in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    free = [c for c in range(ncols) if c not in pivots]
+    ncols = len(matrix[0])
+    rows, pivots = _reduce_rows(matrix)
     basis = []
-    for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for ri, pc in enumerate(pivots):
-            vec[pc] = -rows[ri][fc]
-        basis.append(_primitive_sign_normalized(vec))
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        # x_fc = scale and x_pc = -row[fc] scale / row[pc] solve every row.
+        scale = math.lcm(*(row[pc] for row, pc in zip(rows, pivots)
+                           if row[fc]))
+        vec = [0] * ncols
+        vec[fc] = scale
+        for row, pc in zip(rows, pivots):
+            vec[pc] = -row[fc] * scale // row[pc]
+        vec = _primitive(vec)
+        if next(e for e in vec if e) < 0:
+            vec = [-e for e in vec]
+        basis.append(tuple(vec))
     return basis
+
+
+def rank(matrix: Sequence[Sequence[Rational | int]]) -> int:
+    """Exact rank of a rational matrix given as a list of rows."""
+    return len(_reduce_rows(matrix)[1])
 
 
 def det_exact(matrix: Sequence[Sequence[int]]) -> int:
@@ -562,35 +557,3 @@ def cofactor(matrix: Sequence[Sequence[int]], i: int, j: int) -> int:
              for r in range(n) if r != i]
     sign = -1 if (i + j) % 2 else 1
     return sign * det_exact(minor)
-
-
-class RowBasis:
-    """Incremental exact rank tracking for integer/rational row vectors.
-
-    Used to select ladder rows: rows are offered one at a time and accepted
-    iff they increase the rank.  Deterministic (no pivot choices beyond
-    first-nonzero).
-    """
-
-    def __init__(self, width: int):
-        self.width = width
-        self._echelon: list[tuple[int, list[Fraction]]] = []
-
-    def _reduce(self, row: Sequence[Rational | int]) -> list[Fraction]:
-        v = [Fraction(e) for e in row]
-        for lead, basis_row in self._echelon:
-            if v[lead] != 0:
-                f = v[lead]
-                v = [a - f * b for a, b in zip(v, basis_row)]
-        return v
-
-    def offer(self, row: Sequence[Rational | int]) -> bool:
-        """Add the row if independent of the current basis; report success."""
-        v = self._reduce(row)
-        for k, e in enumerate(v):
-            if e != 0:
-                v = [a / e for a in v]
-                self._echelon.append((k, v))
-                self._echelon.sort(key=lambda t: t[0])
-                return True
-        return False

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .algebra import Poly, RatFunc, RatSeries, Rational, den, lcm_list
+from .algebra import Poly, RatFunc, RatSeries, Rational, den
 from .errors import (AllComponentsZero, InconsistentSeeds, InputError,
                      UnderdeterminedSeeds)
 from .evalcert import exp_upper_bound
@@ -111,8 +111,8 @@ class DiffSystem:
         self.exponent_bound = (None if exponent_bound is None
                                else {str(k): Fraction(v)
                                      for k, v in exponent_bound.items()})
-        self.clear_factor = lcm_list(
-            c.denominator for row in self.TA for p in row for c in p.coeffs)
+        self.clear_factor = math.lcm(*(
+            c.denominator for row in self.TA for p in row for c in p.coeffs))
         self._cache: list[tuple[Fraction, ...]] = []
         self._lock = threading.Lock()
         if check_seeds:
@@ -279,8 +279,8 @@ def normalize_clearing_poly(candidate: Poly,
             prod = entry.mul_poly(prim)
             if not prod.is_polynomial():
                 raise InputError("candidate polynomial does not clear A")
-            for c in prod.to_poly().coeffs:
-                lam = lam // math.gcd(lam, c.denominator) * c.denominator
+            lam = math.lcm(lam, *(c.denominator
+                                  for c in prod.to_poly().coeffs))
     return prim.scale(lam)
 
 
@@ -506,7 +506,7 @@ def kummer_growth_certificate(a: Fraction, b: Fraction) -> GrowthCertificate:
             phi = phi * (a + k) / (b + k)
             k += 1
         c = max(Fraction(1), max(abs(p) for p in phis))
-        d = Fraction(lcm_list(p.denominator for p in phis))
+        d = Fraction(math.lcm(*(p.denominator for p in phis)))
         return GrowthCertificate(c, max(d, Fraction(1)), "catalog")
 
     if 0 < a <= b:

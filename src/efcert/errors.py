@@ -61,11 +61,6 @@ class RankDeficientLadder(EfcertError):
     degrees below the rank threshold or for Q(z)-dependent inputs."""
 
 
-class TargetInSpanFailure(EfcertError):
-    """No selection of ladder rows makes the determinant with the target row
-    nonzero, although the ladder itself has full rank."""
-
-
 class ExhaustedN(EfcertError):
     """The adaptive certification loop reached n_max without certifying."""
 

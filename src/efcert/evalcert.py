@@ -15,6 +15,7 @@ valid as soon as N+2 > C|x| (geometric comparison of consecutive terms).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -107,17 +108,32 @@ def _geometric_tail(c: Fraction, x_abs: Fraction, n: int) -> Fraction | None:
     t = c * x_abs
     if n + 2 <= t:
         return None
-    head = c * t ** (n + 1) / Fraction(_factorial(n + 1))
+    head = c * t ** (n + 1) / math.factorial(n + 1)
     return head / (1 - t / (n + 2))
 
 
-_FACT_CACHE = [1]
+def _taylor_enclosure(coefficients, c: Fraction, x: Fraction,
+                      width: Fraction) -> RatInterval:
+    """Interval of width <= width containing sum_k a_k x^k, where
+    coefficients(n) lists a_0..a_n and a_k = phi_k/k! with |phi_k| <= c^(k+1).
 
-
-def _factorial(n: int) -> int:
-    while len(_FACT_CACHE) <= n:
-        _FACT_CACHE.append(_FACT_CACHE[-1] * len(_FACT_CACHE))
-    return _FACT_CACHE[n]
+    The truncation order n grows until the tail majorant is valid and at
+    most width/4; the partial sum is exact (Horner).  At x = 0 the value a_0
+    is returned as a point.
+    """
+    if x == 0:
+        return RatInterval.point(coefficients(0)[0])
+    x_abs = abs(x)
+    n = max(4, int(c * x_abs) + 2)
+    while True:
+        tail = _geometric_tail(c, x_abs, n)
+        if tail is not None and tail <= width / 4:
+            break
+        n += max(4, n // 2)
+    acc = Fraction(0)
+    for a in reversed(coefficients(n)):
+        acc = acc * x + a
+    return RatInterval(acc - tail, acc + tail).outward_round(_grid_bits(width))
 
 
 def eval_component(sys, i: int, x: Rational | int,
@@ -135,22 +151,8 @@ def eval_component(sys, i: int, x: Rational | int,
     if sys.growth is None:
         raise MissingGrowthCertificate(
             "eval_component needs a growth certificate")
-    c = Fraction(sys.growth.C)
-    x_abs = abs(x)
-    if x == 0:
-        seed = sys.coefficients(0)[i].coefficient(0)
-        return RatInterval.point(seed)
-    n = max(4, int(c * x_abs) + 2)
-    while True:
-        tail = _geometric_tail(c, x_abs, n)
-        if tail is not None and tail <= width / 4:
-            break
-        n += max(4, n // 2)
-    series = sys.coefficients(n)[i]
-    acc = Fraction(0)
-    for k in range(n, -1, -1):
-        acc = acc * x + series.coefficient(k)
-    return RatInterval(acc - tail, acc + tail).outward_round(_grid_bits(width))
+    return _taylor_enclosure(lambda n: sys.coefficients(n)[i].coeffs,
+                             Fraction(sys.growth.C), x, width)
 
 
 def eval_exp(r: Rational | int, target_width: Rational) -> RatInterval:
@@ -159,22 +161,10 @@ def eval_exp(r: Rational | int, target_width: Rational) -> RatInterval:
     width = Fraction(target_width)
     if width <= 0:
         raise ValueError("target_width must be positive")
-    if r == 0:
-        return RatInterval.point(1)
-    r_abs = abs(r)
-    n = max(4, int(r_abs) + 2)
-    while True:
-        # |sum_{k>n} r^k/k!| <= |r|^(n+1)/(n+1)! * (1 - |r|/(n+2))^(-1)
-        if n + 2 > r_abs:
-            head = r_abs ** (n + 1) / Fraction(_factorial(n + 1))
-            tail = head / (1 - r_abs / (n + 2))
-            if tail <= width / 4:
-                break
-        n += max(4, n // 2)
-    acc = Fraction(0)
-    for k in range(n, -1, -1):
-        acc = acc * r + Fraction(1, _factorial(k))
-    return RatInterval(acc - tail, acc + tail).outward_round(_grid_bits(width))
+    # e^r = sum r^k/k!: phi_k = 1 <= 1^(k+1)
+    return _taylor_enclosure(
+        lambda n: [Fraction(1, math.factorial(k)) for k in range(n + 1)],
+        Fraction(1), r, width)
 
 
 def exp_upper_bound(r: Rational | int) -> Fraction:

@@ -29,13 +29,12 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Sequence
 
-from .algebra import Poly, Rational, RowBasis, cofactor, den, det_exact
+from .algebra import Poly, Rational, cofactor, den, det_exact, rank
 from .auxiliary import (AuxiliaryBasis, RemainderSeries, construct,
                         default_eps1, remainder, validate_eps1)
 from .efunction import DiffSystem, extract_params
 from .errors import (ExhaustedN, InputError, MissingGrowthCertificate,
-                     RankDeficientLadder, SingularEvaluationPoint,
-                     TargetInSpanFailure)
+                     RankDeficientLadder, SingularEvaluationPoint)
 from .evalcert import RatInterval, eval_component
 from .zeroestimate import n0_for_system
 
@@ -278,10 +277,14 @@ def certified_lower_bound(sys: DiffSystem, xi: Rational,
     """Run the construction at degree n and certify a lower bound for
     |sum_i target_i f_i(xi)|, or report NotCertified.
 
-    Raises RankDeficientLadder / TargetInSpanFailure when no nonzero
-    determinant can be assembled at this n.  component_intervals, when given,
-    must be certified enclosures of the f_i(xi) (they are recomputed
-    otherwise); adaptive_bound uses this to share evaluations across n.
+    The m-1 form rows are the first ladder rows, in order, that each raise
+    the rank of the target together with the rows already chosen.  The
+    target is nonzero and comes first, so the choice falls short only when
+    the K ladder rows have rank below m; then RankDeficientLadder is raised.
+
+    component_intervals, when given, must be certified enclosures of the
+    f_i(xi) (they are recomputed otherwise); adaptive_bound uses this to
+    share evaluations across n.
     """
     xi = Fraction(xi)
     m = sys.m
@@ -305,23 +308,17 @@ def certified_lower_bound(sys: DiffSystem, xi: Rational,
     ladder = build_ladder(basis, sys, K)
     forms = evaluate_forms(ladder, xi)
 
-    rb = RowBasis(m)
-    rb.offer(target)
+    chosen = [target]
     selected: list[int] = []
     for k in range(K):
         if len(selected) == m - 1:
             break
-        if rb.offer(forms.rows[k]):
+        if rank(chosen + [forms.rows[k]]) > len(chosen):
+            chosen.append(forms.rows[k])
             selected.append(k)
     if len(selected) < m - 1:
-        full = RowBasis(m)
-        rank = sum(1 for k in range(K) if full.offer(forms.rows[k]))
-        if rank < m:
-            raise RankDeficientLadder(
-                f"ladder rows have rank {rank} < m = {m} at n = {n}")
-        raise TargetInSpanFailure(
-            f"no ladder row selection makes the determinant with the target "
-            f"nonzero at n = {n}")
+        raise RankDeficientLadder(
+            f"ladder rows have rank {rank(forms.rows)} < m = {m} at n = {n}")
 
     matrix = [list(forms.rows[k]) for k in selected] + [list(target)]
     delta = det_exact(matrix)
@@ -391,7 +388,7 @@ def adaptive_bound(sys: DiffSystem, xi: Rational, target: Sequence[int], *,
             cert = certified_lower_bound(sys, xi, target, n, eps1=eps1,
                                          precision_bits=precision_bits,
                                          component_intervals=intervals)
-        except (RankDeficientLadder, TargetInSpanFailure) as exc:
+        except RankDeficientLadder as exc:
             attempts.append(AttemptRecord(n=n, status=type(exc).__name__,
                                           reason=str(exc)))
             continue

@@ -33,6 +33,12 @@ from .errors import InputError
 
 logger = logging.getLogger(__name__)
 
+# Size limits on untrusted expressions, checked before any arithmetic: digits
+# of an integer literal, and the degree and coefficient bits of a power.
+_MAX_DIGITS = 1000
+_MAX_POWER_DEGREE = 256
+_MAX_POWER_BITS = 4096
+
 
 # ---------------------------------------------------------------------------
 # Rational-function expressions
@@ -67,6 +73,9 @@ class _Tokenizer:
             self.pos += 1
         if start == self.pos:
             self.error("expected an integer")
+        if self.pos - start > _MAX_DIGITS:
+            self.pos = start
+            self.error(f"integer literal longer than {_MAX_DIGITS} digits")
         return int(self.text[start:self.pos])
 
 
@@ -115,10 +124,23 @@ def _parse_power(tok: _Tokenizer) -> RatFunc:
     base = _parse_atom(tok)
     if tok.peek() == "^":
         tok.take()
+        column = tok.pos
         exp = tok.integer()
+        degree = max(base.num.degree, base.denom.degree)
+        bits = max(max(c.numerator.bit_length(), c.denominator.bit_length())
+                   for p in (base.num, base.denom) for c in p.coeffs)
+        if exp * degree > _MAX_POWER_DEGREE or exp * bits > _MAX_POWER_BITS:
+            tok.pos = column
+            tok.error(f"power too large: degree {exp * degree} (limit "
+                      f"{_MAX_POWER_DEGREE}), {exp * bits} coefficient bits "
+                      f"(limit {_MAX_POWER_BITS})")
         out = RatFunc.constant(1)
-        for _ in range(exp):
-            out = out * base
+        while exp:
+            if exp & 1:
+                out = out * base
+            exp >>= 1
+            if exp:
+                base = base * base
         return out
     return base
 

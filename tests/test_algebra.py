@@ -1,12 +1,108 @@
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
 
+from efcert import auxiliary
 from efcert.algebra import (Poly, RatFunc, RatSeries, cofactor, det_exact,
-                            kernel_basis)
+                            kernel_basis, rank)
+from efcert.sysdesc import catalog_file, parse_system
+
+
+# -- reference: the Fraction eliminations that kernel_basis and rank replace
+
+def ref_kernel(matrix):
+    """Gauss-Jordan over Fraction with first-nonzero pivoting, the pivot row
+    scaled to 1; one kernel vector per free column, made primitive with its
+    first nonzero entry positive."""
+    rows = [[F(e) for e in row] for row in matrix]
+    ncols = len(rows[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = None
+        for i in range(r, len(rows)):
+            if rows[i][c] != 0:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        pv = rows[r][c]
+        rows[r] = [e / pv for e in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [e - f * p for e, p in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    basis = []
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        vec = [F(0)] * ncols
+        vec[fc] = F(1)
+        for ri, pc in enumerate(pivots):
+            vec[pc] = -rows[ri][fc]
+        d = 1
+        for e in vec:
+            d = d * e.denominator // math.gcd(d, e.denominator)
+        ints = [int(e * d) for e in vec]
+        g = 0
+        for e in ints:
+            g = math.gcd(g, abs(e))
+        ints = [e // g for e in ints]
+        if next(e for e in ints if e) < 0:
+            ints = [-e for e in ints]
+        basis.append(tuple(ints))
+    return basis
+
+
+def ref_rank(matrix):
+    """Offer the rows one at a time to an echelon basis over Fraction and
+    count the rows that are independent of those before them."""
+    echelon = []
+    for row in matrix:
+        v = [F(e) for e in row]
+        for lead, basis_row in echelon:
+            if v[lead] != 0:
+                f = v[lead]
+                v = [a - f * b for a, b in zip(v, basis_row)]
+        lead = next((k for k, e in enumerate(v) if e != 0), None)
+        if lead is not None:
+            echelon.append((lead, [a / v[lead] for a in v]))
+            echelon.sort(key=lambda t: t[0])
+    return len(echelon)
+
+
+def random_matrix(rng):
+    """A rows x cols rational matrix of rank at most k (a product of random
+    rows x k and k x cols factors), sometimes with a zero row or column, and
+    sometimes given with int entries."""
+    rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+    k = rng.randint(0, min(rows, cols))
+
+    def entry():
+        return F(rng.randint(-6, 6), rng.randint(1, 4))
+
+    left = [[entry() for _ in range(k)] for _ in range(rows)]
+    right = [[entry() for _ in range(cols)] for _ in range(k)]
+    m = [[sum((left[i][t] * right[t][j] for t in range(k)), F(0))
+          for j in range(cols)] for i in range(rows)]
+    if rng.random() < 0.3:
+        m[rng.randrange(rows)] = [F(0)] * cols
+    if rng.random() < 0.3:
+        j = rng.randrange(cols)
+        for row in m:
+            row[j] = F(0)
+    if rng.random() < 0.2:
+        m = [[int(e * 12) for e in row] for row in m]
+    return m
 
 
 class TestKernel:
@@ -37,6 +133,46 @@ class TestKernel:
     def test_needs_a_column(self):
         with pytest.raises(ValueError):
             kernel_basis([])
+
+
+class TestAgainstFractionReference:
+    def test_random_matrices(self):
+        rng = random.Random(20261018)
+        ranks = set()
+        for _ in range(2000):
+            m = random_matrix(rng)
+            assert kernel_basis(m) == ref_kernel(m), m
+            assert rank(m) == ref_rank(m), m
+            ranks.add((rank(m), min(len(m), len(m[0]))))
+        # rank-deficient and full-rank matrices both occur
+        assert any(r < full for r, full in ranks)
+        assert any(r == full for r, full in ranks)
+
+    @pytest.mark.parametrize("name", ["bessel_j0", "kummer_1_3_1_2",
+                                      "exp_pair"])
+    def test_vanishing_matrices(self, name, monkeypatch):
+        seen = []
+
+        def record(matrix):
+            seen.append(matrix)
+            return kernel_basis(matrix)
+
+        monkeypatch.setattr(auxiliary, "kernel_basis", record)
+        system = parse_system(catalog_file(name))
+        for n in range(1, 13):
+            auxiliary.construct(system, n)
+        assert len(seen) == 12
+        for matrix in seen:
+            assert kernel_basis(matrix) == ref_kernel(matrix)
+            assert rank(matrix) == ref_rank(matrix)
+
+    def test_rank_examples(self):
+        assert rank([]) == 0
+        assert rank([[0, 0], [0, 0]]) == 0
+        assert rank([[1, 2], [2, 4], [F(1, 2), 1]]) == 1
+        assert rank([[F(1, 3), 0], [0, F(2, 7)]]) == 2
+        with pytest.raises(ValueError):
+            rank([[1, 2], [3]])
 
 
 class TestDeterminant:

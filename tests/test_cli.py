@@ -150,6 +150,24 @@ class TestPrecisionOption:
         assert "precision" in proc.stderr
 
 
+class TestOversizedSystemFile:
+    @pytest.mark.parametrize("expr", [
+        "1" * 5000, "(1+z)^3000", "((1+z)^40)^40", "((((2^64)^64)^64)^64)^64",
+    ], ids=["literal", "power", "nested_power", "constant_power"])
+    def test_exits_3_without_traceback(self, expr, tmp_path):
+        doc = {"m": 1, "A": [[expr]], "seeds": [["1"]]}
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "efcert.cli", "params", str(path)],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 3
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ")
+
+
 class TestEmitCommand:
     def test_reserialization_stable(self, capsys):
         code, out1, _ = run_cli(capsys, "emit", "bessel_j0")

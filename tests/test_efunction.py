@@ -6,7 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from efcert.algebra import Poly, RatFunc, lcm_list
+from efcert.algebra import Poly, RatFunc
 from efcert.efunction import (DiffSystem, GrowthCertificate, augment_exp,
                               catalog, extract_params, make_system, rescale)
 from efcert.errors import (AllComponentsZero, InconsistentSeeds, InputError,
@@ -196,7 +196,7 @@ class TestGrowthCertificates:
                 phi = series[i].coefficient(k) * math.factorial(k)
                 assert abs(phi) <= cert.C ** (k + 1), (builder, i, k)
                 dens.append(phi.denominator)
-                assert lcm_list(dens) <= cert.D ** (k + 1), (builder, i, k)
+                assert math.lcm(*dens) <= cert.D ** (k + 1), (builder, i, k)
 
     def test_certificate_validation(self):
         with pytest.raises(InputError):

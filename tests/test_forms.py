@@ -176,7 +176,7 @@ class TestRationalClearing:
 class TestRankAtThreshold:
     def test_exp_pair_full_rank_at_n0(self, exp_pair):
         # n0 = 24 for (m, q, E) = (2, 0, 0); the evaluated ladder rows span
-        from efcert.algebra import RowBasis
+        from efcert.algebra import rank
         from efcert.zeroestimate import n0_for_system
         n0 = n0_for_system(exp_pair).value
         assert n0 == 24
@@ -184,6 +184,4 @@ class TestRankAtThreshold:
         k_len = ladder_length(2, 0, 0, n0, basis.eps1)
         ladder = build_ladder(basis, exp_pair, k_len)
         forms = evaluate_forms(ladder, F(1))
-        rb = RowBasis(2)
-        rank = sum(1 for row in forms.rows if rb.offer(row))
-        assert rank == 2
+        assert rank(forms.rows) == 2

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from efcert.algebra import Poly
+from efcert.algebra import Poly, RatFunc
 from efcert.efunction import catalog, extract_params
 from efcert.errors import InputError
 from efcert.sysdesc import (catalog_file, emit_system, frac_str, parse_ratfunc,
@@ -28,6 +28,9 @@ class TestExpressionParser:
         assert f.is_polynomial() and f.to_poly() == Poly([-1, 1])
         assert parse_ratfunc("1/2*z")(F(4)) == F(2)
         assert parse_ratfunc("2^3")(F(0)) == 8
+        assert parse_ratfunc("(z+1)^5").to_poly() == Poly([1, 5, 10, 10, 5, 1])
+        assert parse_ratfunc("(1/z)^3") == RatFunc(Poly([1]), Poly([0, 0, 0, 1]))
+        assert parse_ratfunc("z^256").to_poly() == Poly([0] * 256 + [1])
 
     def test_errors_have_positions(self):
         with pytest.raises(InputError, match="column"):
@@ -36,6 +39,17 @@ class TestExpressionParser:
             parse_ratfunc("z @ 1")
         with pytest.raises(InputError):
             parse_ratfunc("1/(z - z)")
+
+    @pytest.mark.parametrize("text, column", [
+        ("z + " + "1" * 5000, 5),
+        ("(1+z)^3000", 7),
+        ("((1+z)^40)^40", 12),
+        ("((((2^64)^64)^64)^64)^64", 11),
+        ("z^400", 3),
+    ], ids=["literal", "power", "nested_power", "constant_power", "z400"])
+    def test_oversized_input_rejected(self, text, column):
+        with pytest.raises(InputError, match=f"column {column}: "):
+            parse_ratfunc(text)
 
     def test_poly_printer(self):
         assert poly_str(Poly([])) == "0"
