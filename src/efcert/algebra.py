@@ -197,9 +197,11 @@ class Poly:
         return Poly(q), Poly(rem)
 
     def gcd(self, other: "Poly") -> "Poly":
+        """Monic gcd.  Each remainder is made primitive, so the coefficients
+        stay integers of moderate size instead of growing fractions."""
         a, b = self, other
         while not b.is_zero():
-            a, b = b, a.divmod(b)[1]
+            a, b = b, a.divmod(b)[1].primitive()
         if a.is_zero():
             return a
         return a.monic()
@@ -351,6 +353,13 @@ class RatSeries:
     def __setattr__(self, name, value):
         raise AttributeError("RatSeries is immutable")
 
+    @classmethod
+    def _of(cls, coeffs: tuple[Fraction, ...]) -> "RatSeries":
+        """A series on a tuple that holds Fractions already, unconverted."""
+        series = object.__new__(cls)
+        object.__setattr__(series, "coeffs", coeffs)
+        return series
+
     @property
     def order(self) -> int:
         """Largest index with a known coefficient."""
@@ -364,17 +373,12 @@ class RatSeries:
     def truncate(self, order: int) -> "RatSeries":
         if order > self.order:
             raise ValueError("cannot extend a truncation")
-        return RatSeries(self.coeffs[:order + 1])
+        return RatSeries._of(self.coeffs[:order + 1])
 
     def __add__(self, other: "RatSeries") -> "RatSeries":
         n = min(self.order, other.order)
-        return RatSeries(tuple(self.coeffs[k] + other.coeffs[k]
-                               for k in range(n + 1)))
-
-    def __sub__(self, other: "RatSeries") -> "RatSeries":
-        n = min(self.order, other.order)
-        return RatSeries(tuple(self.coeffs[k] - other.coeffs[k]
-                               for k in range(n + 1)))
+        return RatSeries._of(tuple(self.coeffs[k] + other.coeffs[k]
+                                   for k in range(n + 1)))
 
     def __mul__(self, other: "RatSeries") -> "RatSeries":
         n = min(self.order, other.order)
@@ -387,7 +391,7 @@ class RatSeries:
                 b = other.coeffs[j]
                 if b:
                     out[i + j] += a * b
-        return RatSeries(out)
+        return RatSeries._of(tuple(out))
 
     def mul_poly(self, p: Poly) -> "RatSeries":
         """Product with an exact polynomial; keeps this truncation order."""
@@ -400,17 +404,13 @@ class RatSeries:
                 a = self.coeffs[i]
                 if a:
                     out[i + j] += a * b
-        return RatSeries(out)
-
-    def scale(self, c: Rational | int) -> "RatSeries":
-        c = Fraction(c)
-        return RatSeries(tuple(a * c for a in self.coeffs))
+        return RatSeries._of(tuple(out))
 
     def derivative(self) -> "RatSeries":
         if self.order < 0:
             return self
-        return RatSeries(tuple(k * self.coeffs[k]
-                               for k in range(1, self.order + 1)))
+        return RatSeries._of(tuple(k * self.coeffs[k]
+                                   for k in range(1, self.order + 1)))
 
     def valuation(self) -> int | None:
         """Index of the first nonzero known coefficient, None if all vanish

@@ -25,7 +25,7 @@ the m(n+1) terms b_{i,j} phi_{nu-j,i}/(nu-j)! is at most B Chat^(nu+1)/(nu-n)!.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -61,6 +61,10 @@ class AuxiliaryBasis:
     achieved_order is the exact vanishing order when achieved_exact is True;
     otherwise the search hit its limit and the order is >= achieved_order.
     height is the max coefficient modulus over all P_i.
+
+    It also keeps its system and the coefficients of R = sum P_i f_i found
+    so far (both left out of == and repr), which the ladder check and the
+    remainder extend instead of recomputing R.
     """
 
     n: int
@@ -70,20 +74,35 @@ class AuxiliaryBasis:
     achieved_order: int
     achieved_exact: bool
     height: int
+    _system: DiffSystem = field(compare=False, repr=False)
+    _r: list[Fraction] = field(compare=False, repr=False)
 
     @property
     def m(self) -> int:
         return len(self.polys)
 
 
-def _remainder_coefficient(polys: Sequence[Poly], series: Sequence[RatSeries],
-                           k: int) -> Fraction:
-    acc = Fraction(0)
-    for p, s in zip(polys, series):
-        for j, b in enumerate(p.coeffs):
-            if b and j <= k:
-                acc += b * s.coefficient(k - j)
-    return acc
+def _combination(polys: Sequence[Poly], series: Sequence[RatSeries],
+                 start: int, stop: int) -> list[Fraction]:
+    """Coefficients start..stop-1 of sum_i P_i s_i; each s_i must be known
+    to order stop-1."""
+    return [sum((b * s.coeffs[k - j] for p, s in zip(polys, series)
+                 for j, b in enumerate(p.coeffs[:k + 1])
+                 if b and s.coeffs[k - j]), Fraction(0))
+            for k in range(start, stop)]
+
+
+def _remainder_upto(basis: AuxiliaryBasis, sys: DiffSystem, order: int
+                    ) -> list[Fraction]:
+    """Coefficients 0..order of R, computing only those the basis lacks."""
+    if sys != basis._system:
+        raise InputError("the system differs from the one the auxiliary "
+                         "basis was constructed for")
+    r = basis._r
+    if len(r) <= order:
+        r += _combination(basis.polys, sys.coefficients(order), len(r),
+                          order + 1)
+    return r[:order + 1]
 
 
 def construct(sys: DiffSystem, n: int, eps1: Rational | None = None
@@ -97,18 +116,10 @@ def construct(sys: DiffSystem, n: int, eps1: Rational | None = None
         eps1 = default_eps1(m)
     eps1 = validate_eps1(m, eps1)
     tau = vanishing_order_target(m, n, eps1)
-    series = sys.coefficients(tau - 1 if tau > 0 else 0)
-    cols = m * (n + 1)
-    matrix = []
-    for k in range(tau):
-        row = []
-        for i in range(m):
-            for nu in range(n + 1):
-                row.append(series[i].coefficient(k - nu) if nu <= k
-                           else Fraction(0))
-        matrix.append(row)
-    if not matrix:
-        matrix = [[Fraction(0)] * cols]
+    series = sys.coefficients(tau - 1)          # tau >= 1 for n >= 1
+    matrix = [[series[i].coefficient(k - nu) if nu <= k else Fraction(0)
+               for i in range(m) for nu in range(n + 1)]
+              for k in range(tau)]
     kernel = kernel_basis(matrix)
     if not kernel:
         raise AssertionError(
@@ -118,21 +129,17 @@ def construct(sys: DiffSystem, n: int, eps1: Rational | None = None
 
     limit = tau + m * (n + 1) + _ACHIEVED_SEARCH_SLACK
     ext = sys.coefficients(limit)
-    achieved = None
-    for k in range(tau, limit + 1):
-        if _remainder_coefficient(polys, ext, k) != 0:
-            achieved = k
-            break
-    for k in range(min(tau, limit)):
-        if _remainder_coefficient(polys, ext, k) != 0:
+    r = _combination(polys, ext, 0, tau)
+    for k, c in enumerate(r):
+        if c:
             raise AssertionError(f"vanishing condition failed at order {k}")
-    if achieved is None:
-        return AuxiliaryBasis(n=n, eps1=eps1, tau=tau, polys=polys,
-                              achieved_order=limit + 1, achieved_exact=False,
-                              height=max(abs(e) for e in vec))
+    while len(r) <= limit and not any(r[tau:]):
+        r += _combination(polys, ext, len(r), len(r) + 1)
+    exact = any(r[tau:])
     return AuxiliaryBasis(n=n, eps1=eps1, tau=tau, polys=polys,
-                          achieved_order=achieved, achieved_exact=True,
-                          height=max(abs(e) for e in vec))
+                          achieved_order=len(r) - 1 if exact else limit + 1,
+                          achieved_exact=exact,
+                          height=max(abs(e) for e in vec), _system=sys, _r=r)
 
 
 @dataclass(frozen=True)
@@ -168,9 +175,7 @@ def remainder(basis: AuxiliaryBasis, sys: DiffSystem, cutoff: int
             f"{basis.achieved_order}")
     if sys.growth is None:
         raise MissingGrowthCertificate("remainder tail needs a growth certificate")
-    series = sys.coefficients(cutoff)
-    coeffs = tuple(_remainder_coefficient(basis.polys, series, k)
-                   for k in range(cutoff + 1))
+    coeffs = tuple(_remainder_upto(basis, sys, cutoff))
     return RemainderSeries(coeffs=coeffs, cutoff=cutoff, m=sys.m, n=basis.n,
                            height=basis.height,
                            c_hat=max(Fraction(1), Fraction(sys.growth.C)))

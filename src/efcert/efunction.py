@@ -19,7 +19,6 @@ from finitely many coefficients: catalog entries carry closed-form arguments
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -113,8 +112,7 @@ class DiffSystem:
                                      for k, v in exponent_bound.items()})
         self.clear_factor = math.lcm(*(
             c.denominator for row in self.TA for p in row for c in p.coeffs))
-        self._cache: list[tuple[Fraction, ...]] = []
-        self._lock = threading.Lock()
+        self._columns: tuple[RatSeries, ...] = ()
         if check_seeds:
             probe = max(len(s) for s in self.seeds) + T.degree + 2
             self.coefficients(probe)
@@ -136,17 +134,14 @@ class DiffSystem:
 
     def coefficients(self, order: int) -> list[RatSeries]:
         """Exact Taylor coefficients (phi_{k,i}/k!) up to the given order for
-        every component."""
+        every component: the cached columns, truncated to order + 1 terms."""
         if order < 0:
             raise ValueError("order must be >= 0")
-        with self._lock:
-            if len(self._cache) <= order:
-                target = max(order, 2 * len(self._cache))
-                self._cache = _solve_recurrence(self, target)
-            m = self.m
-            return [RatSeries(tuple(self._cache[k][i]
-                                    for k in range(order + 1)))
-                    for i in range(m)]
+        cached = self._columns[0].order if self._columns else -1
+        if cached < order:
+            levels = _solve_recurrence(self, max(order, 2 * (cached + 1)))
+            self._columns = tuple(RatSeries(col) for col in zip(*levels))
+        return [s.truncate(order) for s in self._columns]
 
 
 def _solve_recurrence(sys: DiffSystem, nmax: int) -> list[tuple[Fraction, ...]]:

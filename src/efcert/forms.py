@@ -29,9 +29,11 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Sequence
 
-from .algebra import Poly, Rational, cofactor, den, det_exact, rank
-from .auxiliary import (AuxiliaryBasis, RemainderSeries, construct,
-                        default_eps1, remainder, validate_eps1)
+from .algebra import (Poly, RatSeries, Rational, cofactor, den, det_exact,
+                      rank)
+from .auxiliary import (AuxiliaryBasis, RemainderSeries, _combination,
+                        _remainder_upto, construct, default_eps1, remainder,
+                        validate_eps1)
 from .efunction import DiffSystem, extract_params
 from .errors import (ExhaustedN, InputError, MissingGrowthCertificate,
                      RankDeficientLadder, SingularEvaluationPoint)
@@ -76,6 +78,9 @@ def build_ladder(basis: AuxiliaryBasis, sys: DiffSystem, K: int) -> FormsLadder:
     params = extract_params(sys)
     q = params.q
     t = sys.T
+    order = basis.achieved_order + K * (q + 1) + 8
+    # R, row 1 of the identity check; InputError for another system
+    combo = RatSeries(_remainder_upto(basis, sys, order))
     rows = [tuple(basis.polys)]
     for _ in range(K - 1):
         prev = rows[-1]
@@ -96,27 +101,17 @@ def build_ladder(basis: AuxiliaryBasis, sys: DiffSystem, K: int) -> FormsLadder:
             if p.degree == bounds[k]:
                 logger.debug("ladder degree bound attained (non-strict) at "
                              "row %d component %d", k + 1, i + 1)
-    order = basis.achieved_order + K * (q + 1) + 8
     series = sys.coefficients(order)
-    combo = [_form_series(rows[0], series)]
     for k in range(1, K):
-        nxt = _form_series(rows[k], series)
-        derived = combo[-1].derivative().mul_poly(t)
-        upto = min(nxt.order, derived.order)
-        if nxt.truncate(upto) != derived.truncate(upto):
+        nxt = RatSeries(_combination(rows[k], series, 0, order + 1))
+        derived = combo.derivative().mul_poly(t)
+        if nxt.truncate(derived.order) != derived:
             raise AssertionError(
                 f"ladder identity failed between rows {k} and {k + 1}")
-        combo.append(nxt)
+        combo = nxt
     return FormsLadder(K=K, rows=tuple(rows), degree_bounds=bounds,
                        n=basis.n, q=q, clear_factor=sys.clear_factor,
                        t_poly=sys.T)
-
-
-def _form_series(polys, series):
-    acc = series[0].mul_poly(polys[0])
-    for p, s in zip(polys[1:], series[1:]):
-        acc = acc + s.mul_poly(p)
-    return acc
 
 
 @dataclass(frozen=True)
@@ -243,17 +238,21 @@ def _operator_tail_sum(rem: RemainderSeries, power: int, xi: Fraction,
         mu += 1
 
 
-def _scaled_form_upper_bound(rem: RemainderSeries, ladder_row: int,
-                             xi: Fraction, scale: int, t_poly: Poly
-                             ) -> Fraction:
-    """U >= |s_k R_{k+1}(xi)| for 0-based ladder_row k: exact evaluation of
-    the operator applied to the truncation, plus the propagated tail."""
-    poly = Poly(rem.coeffs)
-    for _ in range(ladder_row):
-        poly = t_poly * poly.derivative()
-    exact_part = abs(poly(xi))
-    tail_part = _operator_tail_sum(rem, ladder_row, xi, t_poly)
-    return scale * (exact_part + tail_part)
+def _scaled_form_upper_bounds(rem: RemainderSeries, ladder_rows: list[int],
+                              xi: Fraction, scales: Sequence[int],
+                              t_poly: Poly) -> tuple[Fraction, ...]:
+    """U_k >= |s_k R_{k+1}(xi)| for the ascending 0-based ladder rows k:
+    exact evaluation of (T d/dz)^k applied to the truncation, one step at a
+    time, plus the propagated tail."""
+    uppers = []
+    poly, power = Poly(rem.coeffs), 0
+    for k in ladder_rows:
+        for _ in range(k - power):
+            poly = t_poly * poly.derivative()
+        power = k
+        tail_part = _operator_tail_sum(rem, k, xi, t_poly)
+        uppers.append(scales[k] * (abs(poly(xi)) + tail_part))
+    return tuple(uppers)
 
 
 def _remainder_cutoff(basis: AuxiliaryBasis, K: int, t_deg: int,
@@ -338,9 +337,8 @@ def certified_lower_bound(sys: DiffSystem, xi: Rational,
     cutoff = _remainder_cutoff(basis, K, max(sys.T.degree, 0),
                                max(Fraction(1), Fraction(sys.growth.C)), xi)
     rem = remainder(basis, sys, cutoff)
-    uppers = tuple(
-        _scaled_form_upper_bound(rem, k, xi, forms.row_scales[k], sys.T)
-        for k in selected)
+    uppers = _scaled_form_upper_bounds(rem, selected, xi, forms.row_scales,
+                                       sys.T)
     form_cofs = tuple(cofactor(matrix, j, ell) for j in range(m - 1))
 
     if m > 1:

@@ -121,11 +121,20 @@ def log_lower_bound(sys: DiffSystem, xi: Rational, a: int, b: int,
 
     aug = augment_exp(base, beta)
     target = (1,) + (0,) * (sys.m - 1) + (-1,)
+    # n0 does not depend on beta; without a given n_max the forms route
+    # needs it, so a missing exponent bound is then fatal.
+    try:
+        n0 = n0_for_system(aug).value
+    except MissingExponentBound:
+        if config.n_max is None:
+            raise
+        n0 = None
     forms_cert = None
     forms_failure = None
     try:
         forms_cert = adaptive_bound(aug, Fraction(1), target,
-                                    n_max=config.n_max,
+                                    n_max=(4 * n0 if config.n_max is None
+                                           else config.n_max),
                                     precision_bits=config.precision_bits)
     except ExhaustedN as exc:
         forms_failure = f"{exc} ({len(exc.attempts)} attempts)"
@@ -174,10 +183,6 @@ def log_lower_bound(sys: DiffSystem, xi: Rational, a: int, b: int,
                              diff.abs_upper() / omega_lower)
 
     aug_params = extract_params(aug)
-    try:
-        n0 = n0_for_system(aug).value
-    except MissingExponentBound:
-        n0 = None
     beta_dep = {
         "E": aug_params.E,
         "C": aug.growth.C if aug.growth else None,

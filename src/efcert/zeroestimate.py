@@ -98,50 +98,85 @@ def _char_poly(matrix: Sequence[Sequence[Fraction]]) -> Poly:
 
 
 def _rational_roots(p: Poly) -> tuple[list[Fraction], Poly]:
-    """All rational roots (with multiplicity, ascending) and the root-free
-    cofactor."""
-    roots: list[Fraction] = []
+    """All rational roots (with multiplicity, ascending) and the primitive
+    root-free cofactor.
+
+    A rational root of the primitive square-free part has a denominator
+    dividing its leading coefficient L, and two such rationals differ by at
+    least 1/L^2.  So each real root is enclosed in an interval of width below
+    1/(2L^2), and the rational with denominator <= L nearest to it, the only
+    candidate, is tested exactly.  No divisor of a coefficient is enumerated.
+    """
     prim = p.primitive()
-    while prim.degree >= 1:
-        a0_val = prim.valuation()
-        if a0_val and a0_val > 0:
-            for _ in range(a0_val):
-                roots.append(Fraction(0))
-            prim = Poly(prim.coeffs[a0_val:])
-            continue
-        a0 = abs(prim.coeffs[0].numerator)
-        ad = abs(prim.leading().numerator)
-        found = None
-        for num in sorted(_divisors(a0)):
-            for d in sorted(_divisors(ad)):
-                if math.gcd(num, d) != 1:
-                    continue
-                for cand in (Fraction(num, d), Fraction(-num, d)):
-                    if prim(cand) == 0:
-                        found = cand
-                        break
-                if found is not None:
-                    break
-            if found is not None:
-                break
-        if found is None:
-            break
-        roots.append(found)
-        prim = prim.divmod(Poly((-found, 1)))[0].primitive()
+    zeros = prim.valuation() or 0
+    roots = [Fraction(0)] * zeros
+    prim = Poly(prim.coeffs[zeros:])
+    if prim.degree < 1:
+        return roots, prim
+    square_free = prim.divmod(prim.gcd(prim.derivative()))[0].primitive()
+    coeffs = [int(c) for c in square_free.coeffs]
+    lead = abs(coeffs[-1])
+    width = Fraction(1, 2 * lead * lead)
+    found = set()
+    for sign in (1, -1):
+        mirrored = [c * sign ** i for i, c in enumerate(coeffs)]
+        for x in _positive_root_points(mirrored, width):
+            cand = sign * x.limit_denominator(lead)
+            if square_free(cand) == 0:
+                found.add(cand)
+    for root in found:
+        while prim(root) == 0:
+            roots.append(root)
+            prim = prim.divmod(Poly((-root, 1)))[0].primitive()
     return sorted(roots), prim
 
 
-def _divisors(n: int) -> list[int]:
-    if n == 0:
-        return [1]
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            out.append(n // d)
-        d += 1
-    return sorted(set(out))
+def _positive_root_points(coeffs: list[int], width: Fraction
+                          ) -> list[Fraction]:
+    """One point closer than width to each positive root of a square-free
+    integer polynomial (coefficients from degree 0 up, constant term
+    nonzero).
+
+    Descartes' rule of signs with bisection (Collins & Akritas, SYMSAC
+    1976): all roots lie in (0, 2^e) by the Cauchy bound; q(x) = s(2^e x)
+    has them in (0, 1), where the sign changes of (x+1)^d q(1/(x+1)) bound
+    their number from above and equal it when they are 0 or 1.  Intervals
+    are halved until each holds one root and is narrower than width.
+    """
+    lead = abs(coeffs[-1])
+    e = (2 + max(abs(c) for c in coeffs[:-1]) // lead).bit_length()
+    points = []
+    stack = [([c << (e * i) for i, c in enumerate(coeffs)], 0, 0)]
+    while stack:
+        q, c, j = stack.pop()
+        changes = _sign_changes(_shift_by_one(q[::-1]))
+        if changes == 0:
+            continue
+        if changes == 1 and Fraction(1 << e, 1 << j) < width:
+            points.append(Fraction(c << e, 1 << j))
+            continue
+        d = len(q) - 1
+        left = [a << (d - i) for i, a in enumerate(q)]
+        right = _shift_by_one(left)
+        if right[0] == 0:
+            points.append(Fraction((2 * c + 1) << e, 1 << (j + 1)))
+            right = right[1:]
+        stack += [(left, 2 * c, j + 1), (right, 2 * c + 1, j + 1)]
+    return points
+
+
+def _shift_by_one(coeffs: list[int]) -> list[int]:
+    """Coefficients of q(x + 1) from those of q, degree 0 first."""
+    out = list(coeffs)
+    for i in range(len(out) - 1):
+        for k in range(len(out) - 2, i - 1, -1):
+            out[k] += out[k + 1]
+    return out
+
+
+def _sign_changes(coeffs: list[int]) -> int:
+    signs = [c > 0 for c in coeffs if c]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
 def _cauchy_bound(p: Poly) -> Fraction:

@@ -5,6 +5,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from efcert import auxiliary
 from efcert.algebra import (Poly, RatFunc, RatSeries, cofactor, det_exact,
@@ -78,6 +79,13 @@ def ref_rank(matrix):
             echelon.append((lead, [a / v[lead] for a in v]))
             echelon.sort(key=lambda t: t[0])
     return len(echelon)
+
+
+def ref_gcd(a, b):
+    """Euclid on the Fraction remainders, made monic at the end."""
+    while not b.is_zero():
+        a, b = b, a.divmod(b)[1]
+    return a if a.is_zero() else a.monic()
 
 
 def random_matrix(rng):
@@ -232,6 +240,13 @@ class TestPoly:
         quo, rem = p.divmod(q)
         assert rem.is_zero() and quo == Poly([-1, 1])
         assert p.gcd(q) == Poly([1, 1])
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(*[st.lists(st.fractions(min_value=-20, max_value=20,
+                                   max_denominator=6), max_size=5)] * 3)
+    def test_gcd_matches_fraction_euclid(self, common, a, b):
+        g, pa, pb = Poly(common), Poly(a), Poly(b)
+        assert (g * pa).gcd(g * pb) == ref_gcd(g * pa, g * pb)
 
     def test_dilate_and_shift(self):
         p = Poly([1, 2, 3])

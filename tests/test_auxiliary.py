@@ -5,10 +5,26 @@ from fractions import Fraction as F
 
 import pytest
 
+from efcert import auxiliary, forms
 from efcert.algebra import Poly
 from efcert.auxiliary import (construct, default_eps1, remainder,
                               vanishing_order_target)
+from efcert.efunction import augment_exp
 from efcert.errors import InputError
+from efcert.forms import build_ladder, certified_lower_bound
+
+from conftest import build_j0
+
+
+def ref_remainder_coefficient(polys, series, k):
+    """The coefficient of z^k in R = sum_i P_i f_i, one Fraction term at a
+    time: the loop that the shared remainder coefficients replace."""
+    acc = F(0)
+    for p, s in zip(polys, series):
+        for j, b in enumerate(p.coeffs):
+            if b and j <= k:
+                acc += b * s.coefficient(k - j)
+    return acc
 
 
 class TestVanishingTarget:
@@ -106,3 +122,75 @@ class TestRemainder:
         rem = remainder(basis, exp_pair, 5)
         with pytest.raises(ValueError):
             rem.tail_bound(1)
+
+
+class TestSharedRemainder:
+    """R = sum P_i f_i is computed once per attempt and kept on the basis;
+    the construction, the ladder check and the remainder all read it."""
+
+    @pytest.mark.parametrize("name", ["bessel", "kummer", "exp_pair",
+                                      "bessel_exp_half"])
+    def test_matches_reference(self, name, j0, kummer, exp_pair):
+        sys = {"bessel": j0, "kummer": kummer, "exp_pair": exp_pair,
+               "bessel_exp_half": augment_exp(j0, F(1, 2))}[name]
+        for n in range(1, 17):
+            basis = construct(sys, n)
+            cutoff = max(basis.tau, basis.achieved_order) + 6
+            series = sys.coefficients(cutoff)
+            ref = [ref_remainder_coefficient(basis.polys, series, k)
+                   for k in range(cutoff + 1)]
+            assert len(basis._r) == basis.achieved_order + 1
+            assert basis._r == ref[:len(basis._r)]
+            assert list(remainder(basis, sys, cutoff).coeffs) == ref
+
+    def test_ladder_identity_failure_detected(self, exp_pair, monkeypatch):
+        basis = construct(exp_pair, 1, F(1, 4))
+        derivative = Poly.derivative
+        monkeypatch.setattr(Poly, "derivative",
+                            lambda self: derivative(self).scale(2))
+        with pytest.raises(AssertionError, match="ladder identity failed"):
+            build_ladder(basis, exp_pair, 2)
+
+    def test_other_system_rejected(self, j0, kummer):
+        basis = construct(j0, 3)
+        with pytest.raises(InputError):
+            build_ladder(basis, kummer, 3)
+        with pytest.raises(InputError):
+            build_ladder(basis, kummer, 1)
+        with pytest.raises(InputError):
+            remainder(basis, kummer, basis.achieved_order + 4)
+        with pytest.raises(InputError):          # a different m as well
+            build_ladder(basis, augment_exp(j0, 1), 3)
+        # an equal system built separately has the same coefficients
+        twin = build_j0()
+        assert twin is not j0
+        build_ladder(basis, twin, 3)
+        remainder(basis, twin, basis.achieved_order + 4)
+
+    def test_each_coefficient_computed_once(self, j0, monkeypatch):
+        calls = []
+        bases = []
+        combination = auxiliary._combination
+        construct_fn = forms.construct
+
+        def counting(polys, series, start, stop):
+            calls.append((polys, start, stop))
+            return combination(polys, series, start, stop)
+
+        def capturing(*args, **kwargs):
+            bases.append(construct_fn(*args, **kwargs))
+            return bases[-1]
+
+        monkeypatch.setattr(auxiliary, "_combination", counting)
+        monkeypatch.setattr(forms, "_combination", counting)
+        monkeypatch.setattr(forms, "construct", capturing)
+        cert = certified_lower_bound(j0, F(1, 2), (137, -250), 6)
+        assert cert.n == 6
+        (basis,) = bases
+        spans = sorted((start, stop) for polys, start, stop in calls
+                       if polys is basis.polys)
+        covered = []
+        for start, stop in spans:
+            covered.extend(range(start, stop))
+        assert covered == list(range(len(basis._r)))
+        assert len(basis._r) > basis.achieved_order + 24

@@ -168,6 +168,26 @@ class TestOversizedSystemFile:
         assert proc.stderr.startswith("error: ")
 
 
+class TestLargeRationalPole:
+    def test_params_finishes_within_2s(self, tmp_path):
+        # A simple pole at a 25-digit integer: a root search by trial
+        # division up to the square root of the constant term ran for hours.
+        pole = "1000000000000000000000007"
+        doc = {"m": 1, "A": [[f"1/(z-{pole})"]], "seeds": [["1"]],
+               "growth": {"C": "1", "D": "1", "provenance": "catalog"},
+               "exponent_bound": {"global": "2"}}
+        path = tmp_path / "pole.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "efcert.cli", "params", str(path)],
+            capture_output=True, text=True, env=env, timeout=2)
+        assert proc.returncode == 0
+        points = json.loads(proc.stdout)["exponent_points"]
+        assert [p["point"] for p in points] == [pole, "infinity"]
+
+
 class TestEmitCommand:
     def test_reserialization_stable(self, capsys):
         code, out1, _ = run_cli(capsys, "emit", "bessel_j0")

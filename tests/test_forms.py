@@ -5,8 +5,9 @@ from fractions import Fraction as F
 
 import pytest
 
+from efcert import forms
 from efcert.algebra import Poly, RatFunc, det_exact
-from efcert.auxiliary import construct
+from efcert.auxiliary import construct, remainder
 from efcert.efunction import augment_exp, make_system
 from efcert.errors import (ExhaustedN, InputError, RankDeficientLadder,
                            SingularEvaluationPoint)
@@ -131,6 +132,26 @@ class TestCertifiedLowerBound:
     def test_integer_delta_at_least_one(self, j0):
         cert = adaptive_bound(j0, 1, (5, -3), n_max=20)
         assert abs(cert.delta) >= 1
+
+    def test_upper_bounds_match_per_row_reference(self, j0):
+        # (T d/dz)^k is applied step by step across the selected rows; the
+        # reference starts again from R for every row
+        aug = augment_exp(j0, F(1, 2))
+        basis = construct(aug, 4)
+        rem = remainder(basis, aug, basis.achieved_order + 30)
+        xi = F(1, 2)
+        rows = [0, 2, 3, 6]
+        scales = [3, 5, 7, 11, 13, 17, 19]
+
+        def reference(k):
+            poly = Poly(rem.coeffs)
+            for _ in range(k):
+                poly = aug.T * poly.derivative()
+            tail = forms._operator_tail_sum(rem, k, xi, aug.T)
+            return scales[k] * (abs(poly(xi)) + tail)
+
+        assert forms._scaled_form_upper_bounds(rem, rows, xi, scales, aug.T) \
+            == tuple(reference(k) for k in rows)
 
 
 class TestAdaptive:

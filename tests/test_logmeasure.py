@@ -5,8 +5,11 @@ from fractions import Fraction as F
 
 import pytest
 
-from efcert.efunction import rescale
-from efcert.errors import DegenerateFit, NonPositiveValue
+from efcert import forms, logmeasure
+from efcert.algebra import Poly, RatFunc
+from efcert.efunction import GrowthCertificate, make_system, rescale
+from efcert.errors import (DegenerateFit, MissingExponentBound,
+                           NonPositiveValue)
 from efcert.evalcert import RatInterval
 from efcert.logmeasure import (LogBoundResult, LogConfig, exponent_fit,
                                log_lower_bound, measure_scan)
@@ -68,6 +71,32 @@ class TestLogLowerBound:
         assert res.beta_independent_params["m"] == 3
         assert res.beta_independent_params["n0_bound"] == 324
         assert res.beta_dependent_params["D"] == F(14)   # 2 den(beta)
+
+    def test_n0_computed_once(self, j0, monkeypatch):
+        calls = []
+        n0_for_system = logmeasure.n0_for_system
+
+        def counting(sys):
+            calls.append(sys)
+            return n0_for_system(sys)
+
+        monkeypatch.setattr(logmeasure, "n0_for_system", counting)
+        monkeypatch.setattr(forms, "n0_for_system", counting)
+        res = log_lower_bound(j0, 1, -1, 4)          # n_max = 4 n0
+        assert len(calls) == 1
+        assert res.beta_independent_params["n0_bound"] == 324
+
+    def test_missing_exponent_bound(self):
+        z = Poly.x()
+        a = ((RatFunc.zero(), RatFunc(Poly.one())),
+             (RatFunc.constant(-1), RatFunc(-Poly.one(), z)))
+        bare = make_system(a, ((F(1),), (F(0),)),
+                           growth=GrowthCertificate(1, 2))
+        with pytest.raises(MissingExponentBound):
+            log_lower_bound(bare, 1, -1, 4)
+        res = log_lower_bound(bare, 1, -1, 4, LogConfig(n_max=3))
+        assert res.certified
+        assert res.beta_independent_params["n0_bound"] is None
 
 
 class TestMeasureScan:
