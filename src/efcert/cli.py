@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys as _sys
@@ -32,6 +33,15 @@ from .sysdesc import (emit_system, frac_str, parse_rational, parse_system,
 EXIT_OK = 0
 EXIT_NOT_CERTIFIED = 2
 EXIT_INPUT = 3
+
+# Ceilings on the work arguments, well above every tested value (n 48,
+# --bmax 10, --precision 1024); a larger value exits 3 before any work.
+_MAX_N = 96
+_MAX_BMAX = 40
+_MAX_PRECISION = 4096
+_CEILINGS = (("n", "--n", _MAX_N), ("n_start", "--n-start", _MAX_N),
+             ("n_max", "--n-max", _MAX_N), ("bmax", "--bmax", _MAX_BMAX),
+             ("precision", "--precision", _MAX_PRECISION))
 
 
 def frac_decimal(x: Fraction, places: int = 40) -> str:
@@ -167,6 +177,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("emit", help="reserialize a system description")
     p.add_argument("system")
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser(), once per process."""
+    return build_parser()
+
+
+def _check_ceilings(args):
+    for dest, option, ceiling in _CEILINGS:
+        value = getattr(args, dest, None)
+        if value is not None and value > ceiling:
+            raise InputError(f"{option} {value} exceeds the ceiling {ceiling}")
 
 
 def _load(arg: str) -> tuple[DiffSystem, str]:
@@ -411,12 +434,12 @@ def _join_negative_values(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     if argv is None:
         argv = _sys.argv[1:]
     argv = _join_negative_values(list(argv))
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
+        _check_ceilings(args)
         return _COMMANDS[args.subcommand](args)
     except InputError as exc:
         print(f"error: {exc}", file=_sys.stderr)

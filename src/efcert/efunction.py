@@ -139,9 +139,35 @@ class DiffSystem:
             raise ValueError("order must be >= 0")
         cached = self._columns[0].order if self._columns else -1
         if cached < order:
-            levels = _solve_recurrence(self, max(order, 2 * (cached + 1)))
-            self._columns = tuple(RatSeries(col) for col in zip(*levels))
+            self._columns = self._solve(max(order, 2 * (cached + 1)))
         return [s.truncate(order) for s in self._columns]
+
+    def _solve(self, order: int) -> tuple[RatSeries, ...]:
+        """The columns of every component up to the given order."""
+        levels = _solve_recurrence(self, order)
+        return tuple(RatSeries(col) for col in zip(*levels))
+
+
+class _ExpAugmented(DiffSystem):
+    """A base system with the component exp(beta z) adjoined (augment_exp).
+
+    The recurrence is block diagonal with the base's T, so no column is
+    solved for: columns 0..m-1 extend the base system's cached columns, and
+    column m is the closed form beta^k/k!.
+    """
+
+    def __init__(self, base: DiffSystem, beta: Fraction, *args, **kwargs):
+        self._base = base
+        self._beta = beta
+        super().__init__(*args, **kwargs)
+
+    def _solve(self, order: int) -> tuple[RatSeries, ...]:
+        exp = list(self._columns[-1].coeffs) if self._columns \
+            else [Fraction(1)]
+        for k in range(len(exp), order + 1):
+            exp.append(exp[-1] * self._beta / k)
+        return (tuple(self._base.coefficients(order))
+                + (RatSeries._of(tuple(exp)),))
 
 
 def _solve_recurrence(sys: DiffSystem, nmax: int) -> list[tuple[Fraction, ...]]:
@@ -343,6 +369,7 @@ def augment_exp(sys: DiffSystem, beta: Rational | int) -> DiffSystem:
     T is kept unchanged (it is independent of beta); when den(beta) > 1 the
     new entry T*beta has rational coefficients, tracked by clear_factor.
     The growth certificate updates to C' = max(C, |beta|), D' = D*den(beta).
+    The Taylor coefficients come from sys's columns and from beta^k/k!.
     """
     beta = Fraction(beta)
     m = sys.m
@@ -356,11 +383,11 @@ def augment_exp(sys: DiffSystem, beta: Rational | int) -> DiffSystem:
         growth = GrowthCertificate(max(sys.growth.C, abs(beta)),
                                    sys.growth.D * den(beta),
                                    sys.growth.provenance)
-    return DiffSystem(new_a, sys.T,
-                      sys.seeds + ((Fraction(1),),),
-                      labels=sys.labels + (f"exp({beta}*z)",),
-                      growth=growth,
-                      exponent_bound=sys.exponent_bound)
+    return _ExpAugmented(sys, beta, new_a, sys.T,
+                         sys.seeds + ((Fraction(1),),),
+                         labels=sys.labels + (f"exp({beta}*z)",),
+                         growth=growth,
+                         exponent_bound=sys.exponent_bound)
 
 
 def rescale(sys: DiffSystem, xi: Rational | int) -> DiffSystem:

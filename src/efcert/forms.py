@@ -368,9 +368,16 @@ def default_n_max(sys: DiffSystem) -> int:
 def adaptive_bound(sys: DiffSystem, xi: Rational, target: Sequence[int], *,
                    n_start: int = 1, n_max: int | None = None,
                    eps1: Rational | None = None,
-                   precision_bits: int = 256) -> BoundCertificate:
+                   precision_bits: int = 256,
+                   component_intervals: Sequence[RatInterval] | None = None,
+                   ) -> BoundCertificate:
     """Increase n until certification succeeds; every failed attempt is
-    recorded on the returned certificate (or on the ExhaustedN error)."""
+    recorded on the returned certificate (or on the ExhaustedN error).
+
+    component_intervals, when given, must be certified enclosures of the
+    f_i(xi) of width at most 2^-precision_bits; they are computed once here
+    otherwise and shared by every attempt.
+    """
     if n_start < 1:
         raise InputError("n_start must be >= 1")
     _check_precision(precision_bits)
@@ -378,8 +385,11 @@ def adaptive_bound(sys: DiffSystem, xi: Rational, target: Sequence[int], *,
         n_max = default_n_max(sys)
     xi = Fraction(xi)
     _check_evaluation_point(sys, xi)
-    width = Fraction(1, 2 ** precision_bits)
-    intervals = [eval_component(sys, i, xi, width) for i in range(sys.m)]
+    if component_intervals is None:
+        width = Fraction(1, 2 ** precision_bits)
+        intervals = [eval_component(sys, i, xi, width) for i in range(sys.m)]
+    else:
+        intervals = list(component_intervals)
     attempts: list[AttemptRecord] = []
     for n in range(n_start, n_max + 1):
         try:

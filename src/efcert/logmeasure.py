@@ -78,33 +78,88 @@ class LogBoundResult:
         return self.status == CERTIFIED
 
 
-def _positive_value_interval(sys: DiffSystem, comp: int, x: Fraction,
-                             config: LogConfig) -> RatInterval:
-    bits = config.precision_bits
-    iv = eval_component(sys, comp, x, Fraction(1, 2 ** bits))
-    if not iv.strictly_positive():
+class _PointState:
+    """The work every row at one xi shares, because it does not depend on
+    beta = a/b.
+
+    ``base`` is the system rescaled to xi = 1 and ``f_value`` the enclosure
+    of f(1) at the configured precision, checked positive.  Three caches fill
+    as rows ask: enclosures of f(1) by bits; n0 of the augmented system,
+    keyed on beta = 0 (any beta != 0 makes infinity an irregular point of
+    the adjoined block, whose exponent bound is then the system's own, and
+    leaves every residue unchanged); and the enclosures of the m base
+    components at 1, by the augmented growth constant C' = max(C, |beta|)
+    that sets their truncation.
+    """
+
+    def __init__(self, sys: DiffSystem, xi: Fraction, config: LogConfig):
+        self.config = config
+        self.base = sys if xi == 1 else rescale(sys, xi)
+        self._values: dict[int, RatInterval] = {}
+        self._n0: dict[bool, int | None] = {}
+        self._components: dict[Fraction, list[RatInterval]] = {}
+        self.f_value = self._positive_value()
+
+    def value(self, bits: int) -> RatInterval:
+        """Enclosure of f(1) of width 2^-bits."""
+        if bits not in self._values:
+            self._values[bits] = eval_component(self.base, 0, Fraction(1),
+                                                Fraction(1, 2 ** bits))
+        return self._values[bits]
+
+    def _positive_value(self) -> RatInterval:
+        bits = self.config.precision_bits
+        iv = self.value(bits)
         if iv.hi <= 0:
             raise NonPositiveValue(
-                f"component value at {x} is negative; negate the function "
+                f"component value at 1 is negative; negate the function "
                 f"and retry (interval [{iv.lo}, {iv.hi}])")
-        while not iv.strictly_positive() and bits < config.max_precision_bits:
+        while (not iv.strictly_positive()
+               and bits < self.config.max_precision_bits):
             bits *= 2
-            iv = eval_component(sys, comp, x, Fraction(1, 2 ** bits))
+            iv = self.value(bits)
         if not iv.strictly_positive():
             raise NonPositiveValue(
-                f"component value at {x} not strictly positive at precision "
+                f"component value at 1 not strictly positive at precision "
                 f"{bits} bits (interval [{iv.lo}, {iv.hi}])")
-    return iv
+        return iv
+
+    def n0(self, aug: DiffSystem, beta: Fraction) -> int | None:
+        """n0 of the augmented system; None when an exponent bound is
+        missing and n_max is given (without n_max that is fatal)."""
+        key = beta == 0
+        if key not in self._n0:
+            try:
+                self._n0[key] = n0_for_system(aug).value
+            except MissingExponentBound:
+                if self.config.n_max is None:
+                    raise
+                self._n0[key] = None
+        return self._n0[key]
+
+    def component_intervals(self, aug: DiffSystem) -> list[RatInterval]:
+        """Enclosures of the m + 1 components of aug at 1; the exp component
+        stays on aug's own enclosure."""
+        width = Fraction(1, 2 ** self.config.precision_bits)
+        c = aug.growth.C
+        if c not in self._components:
+            self._components[c] = [eval_component(aug, i, Fraction(1), width)
+                                   for i in range(aug.m - 1)]
+        return (self._components[c]
+                + [eval_component(aug, aug.m - 1, Fraction(1), width)])
 
 
 def log_lower_bound(sys: DiffSystem, xi: Rational, a: int, b: int,
-                    config: LogConfig = LogConfig()) -> LogBoundResult:
+                    config: LogConfig = LogConfig(), *,
+                    _state: _PointState | None = None) -> LogBoundResult:
     """Certified positive lower bound for |ln f(xi) - a/b|, f = component 1.
 
     Requires f(xi) > 0 (checked by interval, refining as needed) and
     xi T(xi) != 0.  The forms route failing to certify is recorded, not
     fatal, as long as the interval route separates f(xi) from exp(a/b);
-    ExhaustedN propagates only when both routes fail.
+    ExhaustedN propagates only when both routes fail.  measure_scan passes
+    the rows of one scan a shared _state built from the same sys, xi and
+    config.
     """
     xi = Fraction(xi)
     if b < 1:
@@ -114,28 +169,21 @@ def log_lower_bound(sys: DiffSystem, xi: Rational, a: int, b: int,
             f"xi T(xi) = 0 at xi = {xi}: desingularization is unsupported, "
             f"choose a nonsingular point")
     beta = Fraction(a, b)
-
-    base = sys if xi == 1 else rescale(sys, xi)
-    f_iv = _positive_value_interval(base, 0, Fraction(1), config)
+    state = _PointState(sys, xi, config) if _state is None else _state
+    f_iv = state.f_value
     exp_iv = eval_exp(beta, Fraction(1, 2 ** config.precision_bits))
 
-    aug = augment_exp(base, beta)
+    aug = augment_exp(state.base, beta)
     target = (1,) + (0,) * (sys.m - 1) + (-1,)
-    # n0 does not depend on beta; without a given n_max the forms route
-    # needs it, so a missing exponent bound is then fatal.
-    try:
-        n0 = n0_for_system(aug).value
-    except MissingExponentBound:
-        if config.n_max is None:
-            raise
-        n0 = None
+    n0 = state.n0(aug, beta)
     forms_cert = None
     forms_failure = None
     try:
-        forms_cert = adaptive_bound(aug, Fraction(1), target,
-                                    n_max=(4 * n0 if config.n_max is None
-                                           else config.n_max),
-                                    precision_bits=config.precision_bits)
+        forms_cert = adaptive_bound(
+            aug, Fraction(1), target,
+            n_max=4 * n0 if config.n_max is None else config.n_max,
+            precision_bits=config.precision_bits,
+            component_intervals=state.component_intervals(aug))
     except ExhaustedN as exc:
         forms_failure = f"{exc} ({len(exc.attempts)} attempts)"
 
@@ -145,12 +193,9 @@ def log_lower_bound(sys: DiffSystem, xi: Rational, a: int, b: int,
 
     diff = f_iv - exp_iv
     bits = config.precision_bits
-    f_ref, exp_ref = f_iv, exp_iv
     while diff.abs_lower() == 0 and bits < config.max_precision_bits:
         bits *= 2
-        f_ref = eval_component(base, 0, Fraction(1), Fraction(1, 2 ** bits))
-        exp_ref = eval_exp(beta, Fraction(1, 2 ** bits))
-        diff = f_ref - exp_ref
+        diff = state.value(bits) - eval_exp(beta, Fraction(1, 2 ** bits))
 
     interval_bound = diff.abs_lower() / omega_upper
     forms_bound = None
@@ -235,7 +280,8 @@ def measure_scan(sys: DiffSystem, xi: Rational, b_max: int,
 
     Membership is decided exactly through the equivalence
     a/b - w <= ln V <= a/b + w  iff  e^(a/b - w) <= V <= e^(a/b + w).
-    Rows are computed one after another and returned sorted by (b, a).
+    Rows are computed one after another, sorted by (b, a), and share the
+    beta-independent work of one _PointState.
     """
     xi = Fraction(xi)
     window = Fraction(window)
@@ -243,17 +289,8 @@ def measure_scan(sys: DiffSystem, xi: Rational, b_max: int,
         raise InputError("b_max must be >= 1")
     if window < 0:
         raise InputError("window must be >= 0")
-    base = sys if xi == 1 else rescale(sys, xi)
-    f_iv = _positive_value_interval(base, 0, Fraction(1), config)
-
-    cache: dict[int, RatInterval] = {}
-
-    def value_fn(bits: int) -> RatInterval:
-        if bits not in cache:
-            cache[bits] = eval_component(base, 0, Fraction(1),
-                                         Fraction(1, 2 ** bits))
-        return cache[bits]
-
+    state = _PointState(sys, xi, config)
+    f_iv = state.f_value
     ln_mid = math.log(float(Fraction(f_iv.lo + f_iv.hi, 2)))
     w_f = float(window)
     pairs = []
@@ -264,15 +301,16 @@ def measure_scan(sys: DiffSystem, xi: Rational, b_max: int,
             if math.gcd(abs(a), b) != 1:
                 continue
             r = Fraction(a, b)
-            inside = (_exp_leq_value(r - window, value_fn, 64,
+            inside = (_exp_leq_value(r - window, state.value, 64,
                                      config.max_precision_bits)
-                      and not _exp_leq_value(r + window, value_fn, 64,
+                      and not _exp_leq_value(r + window, state.value, 64,
                                              config.max_precision_bits))
             # e^(r+w) <= V means a/b + w <= ln V: strictly outside the window
             if inside:
                 pairs.append((b, a))
     pairs.sort()
-    return [log_lower_bound(sys, xi, a, b, config) for b, a in pairs]
+    return [log_lower_bound(sys, xi, a, b, config, _state=state)
+            for b, a in pairs]
 
 
 def exponent_fit(rows: Sequence[LogBoundResult]) -> tuple[float, float]:

@@ -34,10 +34,11 @@ from .errors import InputError
 logger = logging.getLogger(__name__)
 
 # Size limits on untrusted expressions, checked before any arithmetic: digits
-# of an integer literal, and the degree and coefficient bits of a power.
+# of an integer literal, and the degree and coefficient bits of a product or
+# power, predicted from its factors (degrees and bit lengths add).
 _MAX_DIGITS = 1000
-_MAX_POWER_DEGREE = 256
-_MAX_POWER_BITS = 4096
+_MAX_DEGREE = 256
+_MAX_BITS = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -97,11 +98,30 @@ def _parse_sum(tok: _Tokenizer) -> RatFunc:
     return value
 
 
+def _size(f: RatFunc) -> tuple[int, int]:
+    """Degree and largest coefficient bit length of f."""
+    return (max(f.num.degree, f.denom.degree),
+            max(max(c.numerator.bit_length(), c.denominator.bit_length())
+                for p in (f.num, f.denom) for c in p.coeffs))
+
+
+def _check_size(tok: _Tokenizer, column: int, what: str, degree: int,
+                bits: int):
+    if degree > _MAX_DEGREE or bits > _MAX_BITS:
+        tok.pos = column
+        tok.error(f"{what} too large: degree {degree} (limit {_MAX_DEGREE}), "
+                  f"{bits} coefficient bits (limit {_MAX_BITS})")
+
+
 def _parse_product(tok: _Tokenizer) -> RatFunc:
     value = _parse_unary(tok)
     while tok.peek() in ("*", "/"):
+        column = tok.pos
         op = tok.take()
         rhs = _parse_unary(tok)
+        (deg_l, bits_l), (deg_r, bits_r) = _size(value), _size(rhs)
+        _check_size(tok, column, "product" if op == "*" else "quotient",
+                    deg_l + deg_r, bits_l + bits_r)
         if op == "*":
             value = value * rhs
         else:
@@ -126,14 +146,8 @@ def _parse_power(tok: _Tokenizer) -> RatFunc:
         tok.take()
         column = tok.pos
         exp = tok.integer()
-        degree = max(base.num.degree, base.denom.degree)
-        bits = max(max(c.numerator.bit_length(), c.denominator.bit_length())
-                   for p in (base.num, base.denom) for c in p.coeffs)
-        if exp * degree > _MAX_POWER_DEGREE or exp * bits > _MAX_POWER_BITS:
-            tok.pos = column
-            tok.error(f"power too large: degree {exp * degree} (limit "
-                      f"{_MAX_POWER_DEGREE}), {exp * bits} coefficient bits "
-                      f"(limit {_MAX_POWER_BITS})")
+        degree, bits = _size(base)
+        _check_size(tok, column, "power", exp * degree, exp * bits)
         out = RatFunc.constant(1)
         while exp:
             if exp & 1:

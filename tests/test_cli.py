@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import subprocess
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from efcert import cli
+from efcert.errors import InputError
 from efcert.sysdesc import catalog_file
 
 from oracles import log_distance_oracle
@@ -150,10 +152,77 @@ class TestPrecisionOption:
         assert "precision" in proc.stderr
 
 
+class TestWorkCeilings:
+    @pytest.mark.parametrize("argv, option", [
+        (["construct", "bessel_j0", "--n", "100000"], "--n"),
+        (["bound", "bessel_j0", "--xi", "1/2", "--target", "1,1",
+          "--n-start", "500"], "--n-start"),
+        (["bound", "bessel_j0", "--xi", "1/2", "--target", "1,1",
+          "--n-max", "100000"], "--n-max"),
+        (["logbound", "bessel_j0", "--xi", "1/2", "--approx", "0",
+          "--precision", "10000000"], "--precision"),
+        (["scan", "bessel_j0", "--xi", "1/2", "--bmax", "1000000",
+          "--window", "1/2"], "--bmax"),
+        (["scan", "bessel_j0", "--xi", "1/2", "--bmax", "3",
+          "--window", "1/2", "--n-max", "97"], "--n-max"),
+    ], ids=["n", "n_start", "n_max", "precision", "bmax", "scan_n_max"])
+    def test_over_ceiling_exits_3(self, argv, option):
+        # A child process, so that a hang fails on the timeout and a crash
+        # shows its traceback on stderr.
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        proc = subprocess.run([sys.executable, "-m", "efcert.cli", *argv],
+                              capture_output=True, text=True, env=env,
+                              timeout=30)
+        assert proc.returncode == 3
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith(f"error: {option} ")
+        assert "exceeds the ceiling" in proc.stderr
+
+    def test_ceiling_itself_allowed(self):
+        at = argparse.Namespace(n=cli._MAX_N, n_start=cli._MAX_N,
+                                n_max=cli._MAX_N, bmax=cli._MAX_BMAX,
+                                precision=cli._MAX_PRECISION)
+        cli._check_ceilings(at)
+        for dest in vars(at):
+            over = argparse.Namespace(**vars(at))
+            setattr(over, dest, getattr(at, dest) + 1)
+            with pytest.raises(InputError, match="exceeds the ceiling"):
+                cli._check_ceilings(over)
+
+
+class TestParserReuse:
+    def test_built_once_and_output_repeats(self, capsys, monkeypatch):
+        built = []
+
+        def counting():
+            built.append(1)
+            return build_parser()
+
+        build_parser = cli.build_parser
+        cli._parser.cache_clear()
+        monkeypatch.setattr(cli, "build_parser", counting)
+        try:
+            argv = ("scan", "bessel_j0", "--xi", "1", "--bmax", "2",
+                    "--window", "1", "--n-max", "12")
+            first = run_cli(capsys, *argv)
+            assert first[0] == 0
+            assert run_cli(capsys, *argv) == first
+            code, out, err = run_cli(capsys, "construct", "bessel_j0",
+                                     "--n", "x")
+            assert (code, out) == (3, "")
+            assert err.startswith("error: argument --n: invalid int value")
+            assert run_cli(capsys, *argv) == first
+        finally:
+            cli._parser.cache_clear()
+        assert len(built) == 1
+
+
 class TestOversizedSystemFile:
     @pytest.mark.parametrize("expr", [
         "1" * 5000, "(1+z)^3000", "((1+z)^40)^40", "((((2^64)^64)^64)^64)^64",
-    ], ids=["literal", "power", "nested_power", "constant_power"])
+        "*".join(["(1+z)^256"] * 8),
+    ], ids=["literal", "power", "nested_power", "constant_power", "product"])
     def test_exits_3_without_traceback(self, expr, tmp_path):
         doc = {"m": 1, "A": [[expr]], "seeds": [["1"]]}
         path = tmp_path / "big.json"

@@ -6,9 +6,11 @@ from fractions import Fraction as F
 
 import pytest
 
+from efcert import efunction
 from efcert.algebra import Poly, RatFunc
-from efcert.efunction import (DiffSystem, GrowthCertificate, augment_exp,
-                              catalog, extract_params, make_system, rescale)
+from efcert.efunction import (DiffSystem, GrowthCertificate, _solve_recurrence,
+                              augment_exp, catalog, extract_params,
+                              make_system, rescale)
 from efcert.errors import (AllComponentsZero, InconsistentSeeds, InputError,
                            UnderdeterminedSeeds)
 
@@ -105,6 +107,28 @@ class TestAugmentExp:
         s = aug.coefficients(12)[3 - 1]
         for k in range(13):
             assert s.coefficient(k) == beta ** k / math.factorial(k)
+
+    @pytest.mark.parametrize("beta", [F(0), F(1, 3), F(-2), F(7, 5)])
+    def test_columns_match_recurrence(self, beta, monkeypatch):
+        # the augmented columns extend the base's and the closed form
+        # beta^k/k!; solving the (m+1)-component recurrence gives the same
+        solved = []
+
+        def recording(sys, nmax):
+            solved.append(sys.m)
+            return _solve_recurrence(sys, nmax)
+
+        monkeypatch.setattr(efunction, "_solve_recurrence", recording)
+        j0 = catalog("bessel_j0")[0]
+        bases = (j0, catalog("1f1", a=F(1, 3), b=F(1, 2))[0],
+                 rescale(j0, F(2, 3)))
+        for base in bases:
+            aug = augment_exp(base, beta)
+            for order in (3, 17, 40):
+                ref = _solve_recurrence(aug, order)
+                assert [s.coeffs for s in aug.coefficients(order)] \
+                    == [tuple(col) for col in zip(*ref)]
+        assert solved and set(solved) == {2}     # never the m = 3 system
 
     def test_q_unchanged_when_T_nonconstant(self, j0, kummer):
         for sys in (j0, kummer):

@@ -14,6 +14,7 @@ from efcert.errors import (ExhaustedN, InputError, RankDeficientLadder,
 from efcert.forms import (adaptive_bound, build_ladder, certified_lower_bound,
                           evaluate_forms, ladder_length)
 from efcert.efunction import GrowthCertificate
+from efcert.evalcert import eval_component
 
 from oracles import linear_form_oracle
 
@@ -167,6 +168,20 @@ class TestAdaptive:
         assert info.value.attempts
         assert all(rec.status == "RankDeficientLadder"
                    for rec in info.value.attempts)
+
+    def test_given_component_intervals_are_used(self, j0, monkeypatch):
+        aug = augment_exp(j0, F(-1, 4))
+        target = (1, 0, -1)
+        width = F(1, 2 ** 256)
+        intervals = [eval_component(aug, i, 1, width) for i in range(3)]
+        plain = adaptive_bound(aug, 1, target, n_max=20)
+
+        def fail(*args):
+            raise AssertionError("component_intervals ignored")
+
+        monkeypatch.setattr(forms, "eval_component", fail)
+        assert adaptive_bound(aug, 1, target, n_max=20,
+                              component_intervals=intervals) == plain
 
     def test_empty_range_exhausts(self, exp_pair):
         with pytest.raises(ExhaustedN):

@@ -7,10 +7,11 @@ import pytest
 
 from efcert import forms, logmeasure
 from efcert.algebra import Poly, RatFunc
-from efcert.efunction import GrowthCertificate, make_system, rescale
+from efcert.efunction import (GrowthCertificate, augment_exp, make_system,
+                              rescale)
 from efcert.errors import (DegenerateFit, MissingExponentBound,
                            NonPositiveValue)
-from efcert.evalcert import RatInterval
+from efcert.evalcert import RatInterval, eval_component
 from efcert.logmeasure import (LogBoundResult, LogConfig, exponent_fit,
                                log_lower_bound, measure_scan)
 
@@ -87,11 +88,7 @@ class TestLogLowerBound:
         assert res.beta_independent_params["n0_bound"] == 324
 
     def test_missing_exponent_bound(self):
-        z = Poly.x()
-        a = ((RatFunc.zero(), RatFunc(Poly.one())),
-             (RatFunc.constant(-1), RatFunc(-Poly.one(), z)))
-        bare = make_system(a, ((F(1),), (F(0),)),
-                           growth=GrowthCertificate(1, 2))
+        bare = _bessel_without_exponent_bound()
         with pytest.raises(MissingExponentBound):
             log_lower_bound(bare, 1, -1, 4)
         res = log_lower_bound(bare, 1, -1, 4, LogConfig(n_max=3))
@@ -131,6 +128,76 @@ class TestMeasureScan:
             single = log_lower_bound(j0, 1, r.a, r.b, CFG)
             assert (r.b, r.a, r.bound, r.path) \
                 == (single.b, single.a, single.bound, single.path)
+
+
+def _bessel_without_exponent_bound():
+    z = Poly.x()
+    a = ((RatFunc.zero(), RatFunc(Poly.one())),
+         (RatFunc.constant(-1), RatFunc(-Poly.one(), z)))
+    return make_system(a, ((F(1),), (F(0),)), growth=GrowthCertificate(1, 2))
+
+
+def _quadratic():
+    # f = 2 + 3z + z^2: n0 of the augmented system is 216 at beta = 0 and
+    # 192 otherwise, so n0 is shared only among nonzero beta
+    a = ((RatFunc(Poly([3, 2]), Poly([2, 3, 1])),),)
+    return make_system(a, ((F(2),),), growth=GrowthCertificate(2, 1),
+                       exponent_bound={"infinity": F(0)})
+
+
+class TestSharedScanState:
+    @pytest.mark.parametrize("xi", [F(1, 4), F(1, 2), F(1)])
+    @pytest.mark.parametrize("name", ["j0", "kummer"])
+    def test_rows_equal_independent_calls(self, name, xi, request):
+        sys = request.getfixturevalue(name)
+        rows = measure_scan(sys, xi, 5, F(1, 2), CFG)
+        assert rows
+        for row in rows:
+            assert row == log_lower_bound(sys, xi, row.a, row.b, CFG)
+        if (name, xi) == ("kummer", F(1)):
+            # some rows truncate the base components at C' = |beta| > C
+            assert any(abs(r.beta) > sys.growth.C for r in rows)
+
+    def test_component_intervals_follow_growth_constant(self, kummer):
+        state = logmeasure._PointState(kummer, F(1), CFG)
+        width = F(1, 2 ** CFG.precision_bits)
+        for beta in (F(1, 2), F(6, 5), F(1), F(7, 5), F(6, 5), F(-3, 2)):
+            aug = augment_exp(kummer, beta)
+            assert state.component_intervals(aug) \
+                == [eval_component(aug, i, 1, width) for i in range(3)]
+
+    def test_n0_keyed_on_beta_zero(self):
+        rows = measure_scan(_quadratic(), F(-1, 2), 3, F(1, 2))
+        n0 = {(r.b, r.a): r.beta_independent_params["n0_bound"]
+              for r in rows}
+        assert n0 == {(1, 0): 216, (2, -1): 192, (3, -2): 192, (3, -1): 192}
+
+    def test_shared_work_runs_once(self, j0, monkeypatch):
+        calls = {"n0": 0, "rescale": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(logmeasure, "n0_for_system",
+                            counted("n0", logmeasure.n0_for_system))
+        monkeypatch.setattr(forms, "n0_for_system", logmeasure.n0_for_system)
+        monkeypatch.setattr(logmeasure, "rescale",
+                            counted("rescale", logmeasure.rescale))
+        rows = measure_scan(j0, F(1, 2), 3, 1)
+        assert len(rows) > 2 and any(r.a == 0 for r in rows)
+        assert calls == {"n0": 2, "rescale": 1}
+
+    def test_missing_exponent_bound(self):
+        bare = _bessel_without_exponent_bound()
+        with pytest.raises(MissingExponentBound):
+            measure_scan(bare, 1, 2, 1)
+        rows = measure_scan(bare, 1, 2, 1, LogConfig(n_max=3))
+        assert rows and all(r.certified for r in rows)
+        assert all(r.beta_independent_params["n0_bound"] is None
+                   for r in rows)
 
 
 def _fake_row(b: int, a: int, bound: F) -> LogBoundResult:

@@ -31,6 +31,8 @@ class TestExpressionParser:
         assert parse_ratfunc("(z+1)^5").to_poly() == Poly([1, 5, 10, 10, 5, 1])
         assert parse_ratfunc("(1/z)^3") == RatFunc(Poly([1]), Poly([0, 0, 0, 1]))
         assert parse_ratfunc("z^256").to_poly() == Poly([0] * 256 + [1])
+        assert parse_ratfunc("z^100*z^156").to_poly() == Poly([0] * 256 + [1])
+        assert parse_ratfunc("z^200/z^56") == parse_ratfunc("z^144")
 
     def test_errors_have_positions(self):
         with pytest.raises(InputError, match="column"):
@@ -49,6 +51,21 @@ class TestExpressionParser:
     ], ids=["literal", "power", "nested_power", "constant_power", "z400"])
     def test_oversized_input_rejected(self, text, column):
         with pytest.raises(InputError, match=f"column {column}: "):
+            parse_ratfunc(text)
+
+    @pytest.mark.parametrize("text, column, what", [
+        ("(1+z)^256*(1+z)^256*(1+z)^256*(1+z)^256", 10, "product"),
+        ("*".join(["(1+z)^256"] * 8), 10, "product"),
+        ("z^200 * z^57", 7, "product"),
+        ("1 + z^2*z^200/z^55", 14, "quotient"),
+        ("2^2000*2^2000*2^100", 14, "product"),
+        ("2^2000*2^2000/3^70", 14, "quotient"),
+    ], ids=["four_powers", "eight_powers", "degree", "quotient_degree",
+            "bits", "quotient_bits"])
+    def test_oversized_product_rejected(self, text, column, what):
+        # predicted from the factors: degrees add, coefficient bits add
+        with pytest.raises(InputError,
+                           match=f"column {column}: {what} too large"):
             parse_ratfunc(text)
 
     def test_poly_printer(self):
