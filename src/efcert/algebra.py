@@ -4,7 +4,12 @@ functions, truncated power series, and exact linear algebra.
 Polynomial and series coefficients are :class:`fractions.Fraction`
 (arbitrary precision, always in lowest terms, positive denominator), so every
 value in the package is exact.  Polynomials are dense coefficient tuples
-indexed by degree.  The linear algebra runs on integers: each row's
+indexed by degree.  The series hot loops do not use these classes: they run
+on integers with an explicit denominator (``DiffSystem.integer_coefficients``
+gives the Taylor columns over one common denominator, ``auxiliary`` forms the
+remainder from them by integer dot products, and ``forms`` builds, checks and
+evaluates the ladder on integer rows), and convert to ``Fraction`` once per
+result.  The linear algebra runs on integers: each row's
 denominators are cleared once, and a single fraction-free Gauss-Jordan
 elimination serves both the kernel and the rank, while determinants use
 Bareiss elimination.  It is deliberately small and deterministic:
@@ -25,6 +30,34 @@ Rational = Fraction
 def den(r: Rational) -> int:
     """Positive denominator of r in reduced form."""
     return Fraction(r).denominator
+
+
+def prefix_numerators(values: Iterable[Fraction], lcm: int = 1
+                      ) -> tuple[list[int], list[int], int]:
+    """(numerators, steps, L) for the prefix lcms L_p of the denominators of
+    the values, L_{-1} = lcm: numerators[p] = values[p] * L_p, steps[p] =
+    L_p / L_{p-1}, and L the last L_p."""
+    nums, steps = [], []
+    for v in values:
+        nxt = math.lcm(lcm, v.denominator)
+        steps.append(nxt // lcm)
+        lcm = nxt
+        nums.append(v.numerator * (lcm // v.denominator))
+    return nums, steps, lcm
+
+
+def common_numerators(nums: Sequence[int], steps: Sequence[int]
+                      ) -> tuple[int, list[int]]:
+    """(L, [nums[p] * L / L_p]) for the prefix_numerators of some values
+    (from lcm 1): the values over their common denominator L.  Going down
+    from the top multiplies by the steps instead of dividing L by each
+    denominator, which costs quadratic time once L is large."""
+    out = [0] * len(nums)
+    scale = 1
+    for p in range(len(nums) - 1, -1, -1):
+        out[p] = nums[p] * scale
+        scale *= steps[p]
+    return scale, out
 
 
 # ---------------------------------------------------------------------------

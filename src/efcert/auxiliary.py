@@ -25,11 +25,12 @@ the m(n+1) terms b_{i,j} phi_{nu-j,i}/(nu-j)! is at most B Chat^(nu+1)/(nu-n)!.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .algebra import Poly, RatSeries, Rational, kernel_basis
+from .algebra import Poly, Rational, kernel_basis
 from .efunction import DiffSystem
 from .errors import InputError, MissingGrowthCertificate
 
@@ -82,14 +83,32 @@ class AuxiliaryBasis:
         return len(self.polys)
 
 
-def _combination(polys: Sequence[Poly], series: Sequence[RatSeries],
-                 start: int, stop: int) -> list[Fraction]:
-    """Coefficients start..stop-1 of sum_i P_i s_i; each s_i must be known
-    to order stop-1."""
-    return [sum((b * s.coeffs[k - j] for p, s in zip(polys, series)
-                 for j, b in enumerate(p.coeffs[:k + 1])
-                 if b and s.coeffs[k - j]), Fraction(0))
-            for k in range(start, stop)]
+def _combination(polys: Sequence[Sequence[int]],
+                 columns: Sequence[Sequence[int]], start: int, stop: int
+                 ) -> list[int]:
+    """Coefficients start..stop-1 of sum_i P_i F_i for integer coefficient
+    lists P_i and integer series F_i, each F_i known to order stop-1."""
+    out = []
+    for k in range(start, stop):
+        acc = 0
+        for p, col in zip(polys, columns):
+            lo = max(0, k + 1 - len(p))
+            # p[k - lo], p[k - lo - 1], ... against col[lo], col[lo + 1], ...
+            acc += sum(map(operator.mul, p[k - lo::-1], col[lo:k + 1]))
+        out.append(acc)
+    return out
+
+
+def _integer_polys(polys: Sequence[Poly]) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(c.numerator for c in p.coeffs) for p in polys)
+
+
+def _remainder_terms(polys: Sequence[Sequence[int]], d: int,
+                     columns: Sequence[Sequence[int]], start: int, stop: int
+                     ) -> list[Fraction]:
+    """Coefficients start..stop-1 of R = sum_i P_i f_i, f_i = F_i / d, each
+    normalised to a Fraction once."""
+    return [Fraction(v, d) for v in _combination(polys, columns, start, stop)]
 
 
 def _remainder_upto(basis: AuxiliaryBasis, sys: DiffSystem, order: int
@@ -100,8 +119,9 @@ def _remainder_upto(basis: AuxiliaryBasis, sys: DiffSystem, order: int
                          "basis was constructed for")
     r = basis._r
     if len(r) <= order:
-        r += _combination(basis.polys, sys.coefficients(order), len(r),
-                          order + 1)
+        d, columns = sys.integer_coefficients(order)
+        r += _remainder_terms(_integer_polys(basis.polys), d, columns, len(r),
+                              order + 1)
     return r[:order + 1]
 
 
@@ -128,13 +148,14 @@ def construct(sys: DiffSystem, n: int, eps1: Rational | None = None
     polys = tuple(Poly(vec[i * (n + 1):(i + 1) * (n + 1)]) for i in range(m))
 
     limit = tau + m * (n + 1) + _ACHIEVED_SEARCH_SLACK
-    ext = sys.coefficients(limit)
-    r = _combination(polys, ext, 0, tau)
+    d, ext = sys.integer_coefficients(limit)
+    ints = _integer_polys(polys)
+    r = _remainder_terms(ints, d, ext, 0, tau)
     for k, c in enumerate(r):
         if c:
             raise AssertionError(f"vanishing condition failed at order {k}")
     while len(r) <= limit and not any(r[tau:]):
-        r += _combination(polys, ext, len(r), len(r) + 1)
+        r += _remainder_terms(ints, d, ext, len(r), len(r) + 1)
     exact = any(r[tau:])
     return AuxiliaryBasis(n=n, eps1=eps1, tau=tau, polys=polys,
                           achieved_order=len(r) - 1 if exact else limit + 1,

@@ -35,10 +35,12 @@ EXIT_NOT_CERTIFIED = 2
 EXIT_INPUT = 3
 
 # Ceilings on the work arguments, well above every tested value (n 48,
-# --bmax 10, --precision 1024); a larger value exits 3 before any work.
+# --bmax 10, --precision 1024, --window 1); a larger value exits 3 before
+# any work.
 _MAX_N = 96
 _MAX_BMAX = 40
 _MAX_PRECISION = 4096
+_MAX_WINDOW = 2
 _CEILINGS = (("n", "--n", _MAX_N), ("n_start", "--n-start", _MAX_N),
              ("n_max", "--n-max", _MAX_N), ("bmax", "--bmax", _MAX_BMAX),
              ("precision", "--precision", _MAX_PRECISION))
@@ -51,7 +53,7 @@ def frac_decimal(x: Fraction, places: int = 40) -> str:
     x = abs(x)
     whole, rem = divmod(x.numerator, x.denominator)
     digits = rem * 10 ** places // x.denominator
-    return f"{sign}{whole}.{str(digits).zfill(places)}"
+    return f"{sign}{frac_str(whole)}.{str(digits).zfill(places)}"
 
 
 def _interval_dict(iv: RatInterval) -> dict:
@@ -70,13 +72,13 @@ def certificate_dict(cert: forms.BoundCertificate) -> dict:
         "n": cert.n,
         "eps1": frac_str(cert.eps1),
         "xi": frac_str(cert.xi),
-        "target": [str(a) for a in cert.target],
-        "target_height": str(max(abs(a) for a in cert.target)),
+        "target": [frac_str(a) for a in cert.target],
+        "target_height": frac_str(max(abs(a) for a in cert.target)),
         "selected_rows": list(cert.selected_rows),
         "ell": cert.ell + 1,
-        "delta": str(cert.delta),
-        "target_cofactor": str(cert.target_cofactor),
-        "form_cofactors": [str(c) for c in cert.form_cofactors],
+        "delta": frac_str(cert.delta),
+        "target_cofactor": frac_str(cert.target_cofactor),
+        "form_cofactors": [frac_str(c) for c in cert.form_cofactors],
         "row_upper_bounds": [frac_str(u) for u in cert.row_upper_bounds],
         "f_ell_lower": frac_str(cert.f_ell_lower),
         "lower_bound": None if cert.lower_bound is None
@@ -190,6 +192,10 @@ def _check_ceilings(args):
         value = getattr(args, dest, None)
         if value is not None and value > ceiling:
             raise InputError(f"{option} {value} exceeds the ceiling {ceiling}")
+    window = getattr(args, "window", None)
+    if window is not None and parse_rational(window) > _MAX_WINDOW:
+        raise InputError(
+            f"--window {window} exceeds the ceiling {_MAX_WINDOW}")
 
 
 def _load(arg: str) -> tuple[DiffSystem, str]:
@@ -257,7 +263,7 @@ def cmd_construct(args) -> int:
         "tau": basis.tau,
         "achieved_order": basis.achieved_order,
         "achieved_exact": basis.achieved_exact,
-        "height": str(basis.height),
+        "height": frac_str(basis.height),
         "polynomials": [poly_str(p) for p in basis.polys],
     }
     emit_report(doc)
@@ -292,7 +298,7 @@ def cmd_bound(args) -> int:
     n_max = args.n_max if args.n_max is not None \
         else forms.default_n_max(system)
     doc = {"command": "bound", "system": name, "xi": frac_str(xi),
-           "target": [str(a) for a in target], "n_max": n_max}
+           "target": [frac_str(a) for a in target], "n_max": n_max}
     try:
         cert = forms.adaptive_bound(system, xi, target,
                                     n_start=args.n_start, n_max=n_max,

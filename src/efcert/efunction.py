@@ -23,7 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .algebra import Poly, RatFunc, RatSeries, Rational, den
+from .algebra import (Poly, RatFunc, RatSeries, Rational, common_numerators,
+                      den, prefix_numerators)
 from .errors import (AllComponentsZero, InconsistentSeeds, InputError,
                      UnderdeterminedSeeds)
 from .evalcert import exp_upper_bound
@@ -113,6 +114,11 @@ class DiffSystem:
         self.clear_factor = math.lcm(*(
             c.denominator for row in self.TA for p in row for c in p.coeffs))
         self._columns: tuple[RatSeries, ...] = ()
+        # prefix_numerators of the coefficients in level order (level k,
+        # component i at k * m + i), extended as integer_coefficients needs
+        self._nums: list[int] = []
+        self._steps: list[int] = []
+        self._lcm = 1
         if check_seeds:
             probe = max(len(s) for s in self.seeds) + T.degree + 2
             self.coefficients(probe)
@@ -141,6 +147,24 @@ class DiffSystem:
         if cached < order:
             self._columns = self._solve(max(order, 2 * (cached + 1)))
         return [s.truncate(order) for s in self._columns]
+
+    def integer_coefficients(self, order: int
+                             ) -> tuple[int, list[tuple[int, ...]]]:
+        """The columns of coefficients(order) as (D, numerators): D is the
+        lcm of their coefficient denominators, and each column holds the
+        integers D * coefficient for orders 0..order."""
+        columns = self.coefficients(order)
+        m = self.m
+        known = len(self._nums) // m
+        if known <= order:
+            nums, steps, self._lcm = prefix_numerators(
+                (s.coeffs[k] for k in range(known, order + 1)
+                 for s in columns), self._lcm)
+            self._nums += nums
+            self._steps += steps
+        d, flat = common_numerators(self._nums[:(order + 1) * m],
+                                    self._steps[:(order + 1) * m])
+        return d, [tuple(flat[i::m]) for i in range(m)]
 
     def _solve(self, order: int) -> tuple[RatSeries, ...]:
         """The columns of every component up to the given order."""

@@ -23,17 +23,18 @@ pushing the remainder's factorial tail through the operator T d/dz.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Sequence
 
-from .algebra import (Poly, RatSeries, Rational, cofactor, den, det_exact,
-                      rank)
+from .algebra import (Poly, Rational, cofactor, common_numerators, det_exact,
+                      prefix_numerators, rank)
 from .auxiliary import (AuxiliaryBasis, RemainderSeries, _combination,
-                        _remainder_upto, construct, default_eps1, remainder,
-                        validate_eps1)
+                        _integer_polys, _remainder_upto, construct,
+                        default_eps1, remainder, validate_eps1)
 from .efunction import DiffSystem, extract_params
 from .errors import (ExhaustedN, InputError, MissingGrowthCertificate,
                      RankDeficientLadder, SingularEvaluationPoint)
@@ -58,60 +59,110 @@ class FormsLadder:
     """K x m array of ladder polynomials; row k (0-based) carries R_{k+1}.
 
     clear_factor is the least positive integer lambda with lambda * T * A
-    integral: row k has lambda^k * P_{k,i} in Z[z].
+    integral: row k has lambda^k * P_{k,i} in Z[z].  The ladder is built,
+    checked and evaluated on these integer rows (scaled_rows, coefficient
+    tuples in ascending degree without trailing zeros); rows gives the
+    P_{k,i} themselves as Poly.
     """
 
     K: int
-    rows: tuple[tuple[Poly, ...], ...]
+    scaled_rows: tuple[tuple[tuple[int, ...], ...], ...]
     degree_bounds: tuple[int, ...]
     n: int
     q: int
     clear_factor: int
     t_poly: Poly
 
+    @property
+    def rows(self) -> tuple[tuple[Poly, ...], ...]:
+        """The P_{k,i}: scaled_rows[k][i] / lambda^k."""
+        return tuple(tuple(Poly(Fraction(c, self.clear_factor ** k)
+                                for c in p) for p in row)
+                     for k, row in enumerate(self.scaled_rows))
+
+
+def _derivative(p: Sequence[int]) -> list[int]:
+    return [j * c for j, c in enumerate(p)][1:]
+
+
+def _mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _next_row(row: Sequence[Sequence[int]], lam_t: Sequence[int],
+              lam_ta: Sequence[Sequence[Sequence[int]]]
+              ) -> tuple[tuple[int, ...], ...]:
+    """S_{k+1,j} = lambda T S_{k,j}' + sum_i S_{k,i} (lambda T A)_{i,j} for
+    the integer rows S_k = lambda^k P_k."""
+    out = []
+    for j in range(len(row)):
+        terms = [_mul(lam_t, _derivative(row[j]))]
+        terms += [_mul(p, lam_ta[i][j]) for i, p in enumerate(row)]
+        acc = [sum(cs) for cs in itertools.zip_longest(*terms, fillvalue=0)]
+        while acc and not acc[-1]:
+            acc.pop()
+        out.append(tuple(acc))
+    return tuple(out)
+
+
+def _horner(p: Sequence[int], a: int, d: int) -> int:
+    """sum_j p[j] a^j d^(len(p)-1-j): d^deg p times p(a/d)."""
+    acc, dp = 0, 1
+    for c in reversed(p):
+        acc = acc * a + c * dp
+        dp *= d
+    return acc
+
 
 def build_ladder(basis: AuxiliaryBasis, sys: DiffSystem, K: int) -> FormsLadder:
     """Iterate the update rule and verify the ladder identity on exact
-    truncated series (failure here is an internal bug, not bad input)."""
+    truncated series (failure here is an internal bug, not bad input).
+
+    Both run on integers: the rows S_k = lambda^k P_k, and the series
+    N_k = D lambda^k R_{k+1} with D the common denominator of the system's
+    integer columns, for which the identity reads N_{k+1} = lambda T N_k'.
+    """
     if K < 1:
         raise InputError("ladder length must be >= 1")
     params = extract_params(sys)
     q = params.q
-    t = sys.T
+    lam = sys.clear_factor
     order = basis.achieved_order + K * (q + 1) + 8
     # R, row 1 of the identity check; InputError for another system
-    combo = RatSeries(_remainder_upto(basis, sys, order))
-    rows = [tuple(basis.polys)]
+    r = _remainder_upto(basis, sys, order)
+    lam_t = [lam * c.numerator for c in sys.T.coeffs]
+    lam_ta = [[[int(lam * c) for c in p.coeffs] for p in row]
+              for row in sys.TA]
+    rows = [_integer_polys(basis.polys)]
     for _ in range(K - 1):
-        prev = rows[-1]
-        nxt = []
-        for j in range(sys.m):
-            acc = t * prev[j].derivative()
-            for i in range(sys.m):
-                if not prev[i].is_zero():
-                    acc = acc + prev[i] * sys.TA[i][j]
-            nxt.append(acc)
-        rows.append(tuple(nxt))
+        rows.append(_next_row(rows[-1], lam_t, lam_ta))
     bounds = tuple(basis.n + k * q for k in range(K))
     for k, row in enumerate(rows):
         for i, p in enumerate(row):
-            if p.degree > bounds[k]:
+            if len(p) - 1 > bounds[k]:
                 raise AssertionError(
                     f"degree bound violated at ladder row {k + 1}")
-            if p.degree == bounds[k]:
+            if len(p) - 1 == bounds[k]:
                 logger.debug("ladder degree bound attained (non-strict) at "
                              "row %d component %d", k + 1, i + 1)
-    series = sys.coefficients(order)
+    d, columns = sys.integer_coefficients(order)
+    combo = [c.numerator * (d // c.denominator) for c in r]
     for k in range(1, K):
-        nxt = RatSeries(_combination(rows[k], series, 0, order + 1))
-        derived = combo.derivative().mul_poly(t)
-        if nxt.truncate(derived.order) != derived:
+        nxt = _combination(rows[k], columns, 0, order + 1)
+        derived = _combination([lam_t], [_derivative(combo)], 0, order)
+        if nxt[:order] != derived:
             raise AssertionError(
                 f"ladder identity failed between rows {k} and {k + 1}")
         combo = nxt
-    return FormsLadder(K=K, rows=tuple(rows), degree_bounds=bounds,
-                       n=basis.n, q=q, clear_factor=sys.clear_factor,
-                       t_poly=sys.T)
+    return FormsLadder(K=K, scaled_rows=tuple(rows), degree_bounds=bounds,
+                       n=basis.n, q=q, clear_factor=lam, t_poly=sys.T)
 
 
 @dataclass(frozen=True)
@@ -128,23 +179,24 @@ class IntegerForms:
 
 
 def evaluate_forms(ladder: FormsLadder, xi: Rational) -> IntegerForms:
+    """s_k P_{k,i}(a/d) = sum_j c_j a^j d^(B_k - j) for the integer row
+    lambda^k P_{k,i} = sum_j c_j z^j and B_k = n + k q."""
     xi = Fraction(xi)
     if xi == 0 or ladder.t_poly(xi) == 0:
         raise SingularEvaluationPoint(
             f"xi T(xi) = 0 at xi = {xi}; forms cannot be evaluated there")
-    d = den(xi)
+    a, d = xi.numerator, xi.denominator
     rows = []
     scales = []
-    for k, row in enumerate(ladder.rows):
-        s = d ** ladder.degree_bounds[k] * ladder.clear_factor ** k
+    for k, row in enumerate(ladder.scaled_rows):
+        bound = ladder.degree_bounds[k]
         vals = []
         for p in row:
-            v = p(xi) * s
-            if v.denominator != 1:
+            if len(p) - 1 > bound:
                 raise AssertionError("denominator clearing failed")
-            vals.append(int(v))
+            vals.append(_horner(p, a, d) * d ** (bound - len(p) + 1))
         rows.append(tuple(vals))
-        scales.append(s)
+        scales.append(d ** bound * ladder.clear_factor ** k)
     return IntegerForms(rows=tuple(rows), row_scales=tuple(scales), xi=xi)
 
 
@@ -243,15 +295,22 @@ def _scaled_form_upper_bounds(rem: RemainderSeries, ladder_rows: list[int],
                               t_poly: Poly) -> tuple[Fraction, ...]:
     """U_k >= |s_k R_{k+1}(xi)| for the ascending 0-based ladder rows k:
     exact evaluation of (T d/dz)^k applied to the truncation, one step at a
-    time, plus the propagated tail."""
+    time on the integer numerators E R (E the lcm of the denominators of
+    the truncation), plus the propagated tail."""
     uppers = []
-    poly, power = Poly(rem.coeffs), 0
+    nums, steps, _ = prefix_numerators(rem.coeffs)
+    e, poly = common_numerators(nums, steps)
+    t = [c.numerator for c in t_poly.coeffs]
+    a, d = xi.numerator, xi.denominator
+    power = 0
     for k in ladder_rows:
         for _ in range(k - power):
-            poly = t_poly * poly.derivative()
+            poly = _mul(t, _derivative(poly))
         power = k
         tail_part = _operator_tail_sum(rem, k, xi, t_poly)
-        uppers.append(scales[k] * (abs(poly(xi)) + tail_part))
+        value = (Fraction(abs(_horner(poly, a, d)), e * d ** (len(poly) - 1))
+                 if poly else Fraction(0))
+        uppers.append(scales[k] * (value + tail_part))
     return tuple(uppers)
 
 

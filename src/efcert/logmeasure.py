@@ -289,10 +289,13 @@ def measure_scan(sys: DiffSystem, xi: Rational, b_max: int,
         raise InputError("b_max must be >= 1")
     if window < 0:
         raise InputError("window must be >= 0")
+    try:
+        w_f = float(window)
+    except OverflowError:
+        raise InputError("window does not fit in a float") from None
     state = _PointState(sys, xi, config)
     f_iv = state.f_value
     ln_mid = math.log(float(Fraction(f_iv.lo + f_iv.hi, 2)))
-    w_f = float(window)
     pairs = []
     for b in range(1, b_max + 1):
         lo = math.floor(b * (ln_mid - w_f)) - 2

@@ -182,8 +182,20 @@ def _parse_atom(tok: _Tokenizer) -> RatFunc:
 # Canonical printing
 # ---------------------------------------------------------------------------
 
+# Python converts an int of at most 4,300 digits to str (its default
+# int_max_str_digits); a larger report integer is refused as input error.
+_MAX_REPORT_DIGITS = 4300
+_REPORT_LIMIT = 10 ** _MAX_REPORT_DIGITS
+
+
 def frac_str(x: Fraction) -> str:
+    """p/q, or p for an integer; reports format every exact number here."""
     x = Fraction(x)
+    if max(abs(x.numerator), x.denominator) >= _REPORT_LIMIT:
+        raise InputError(
+            f"the report needs an integer of more than {_MAX_REPORT_DIGITS} "
+            f"digits; a point xi or a target of smaller height keeps it "
+            f"smaller")
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from efcert import auxiliary
-from efcert.algebra import (Poly, RatFunc, RatSeries, cofactor, det_exact,
-                            kernel_basis, rank)
+from efcert.algebra import (Poly, RatFunc, RatSeries, cofactor,
+                            common_numerators, det_exact, kernel_basis,
+                            prefix_numerators, rank)
 from efcert.sysdesc import catalog_file, parse_system
 
 
@@ -206,6 +207,51 @@ class TestDeterminant:
             for i in range(n):
                 expansion = sum(m[i][j] * cofactor(m, i, j) for j in range(n))
                 assert expansion == d
+
+
+def laplace_det(m):
+    """Determinant by Laplace expansion along the first row."""
+    if not m:
+        return 1
+    return sum((-1) ** j * m[0][j]
+               * laplace_det([row[:j] + row[j + 1:] for row in m[1:]])
+               for j in range(len(m)) if m[0][j])
+
+
+square_matrices = st.integers(1, 5).flatmap(
+    lambda n: st.lists(st.lists(st.integers(-6, 6), min_size=n, max_size=n),
+                       min_size=n, max_size=n))
+
+
+class TestCommonDenominator:
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(st.lists(st.fractions(max_denominator=10 ** 6), max_size=12),
+           st.integers(0, 12))
+    def test_numerators_over_the_lcm(self, values, cut):
+        nums, steps, lcm = prefix_numerators(values)
+        assert lcm == math.lcm(*(v.denominator for v in values))
+        assert common_numerators(nums, steps) == (lcm,
+                                                  [v * lcm for v in values])
+        # extending a prefix gives the prefix of the whole
+        head, tail = values[:cut], values[cut:]
+        nums_h, steps_h, lcm_h = prefix_numerators(head)
+        nums_t, steps_t, lcm_t = prefix_numerators(tail, lcm_h)
+        assert (nums_h + nums_t, steps_h + steps_t, lcm_t) \
+            == (nums, steps, lcm)
+
+
+class TestAgainstLaplaceExpansion:
+    # small entries, so zero pivots, row swaps and singular matrices occur
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(square_matrices)
+    def test_det_and_cofactors(self, m):
+        n = len(m)
+        assert det_exact(m) == laplace_det(m)
+        for i in range(n):
+            for j in range(n):
+                minor = [row[:j] + row[j + 1:] for r, row in enumerate(m)
+                         if r != i]
+                assert cofactor(m, i, j) == (-1) ** (i + j) * laplace_det(minor)
 
 
 class TestCofactor:

@@ -165,7 +165,12 @@ class TestWorkCeilings:
           "--window", "1/2"], "--bmax"),
         (["scan", "bessel_j0", "--xi", "1/2", "--bmax", "3",
           "--window", "1/2", "--n-max", "97"], "--n-max"),
-    ], ids=["n", "n_start", "n_max", "precision", "bmax", "scan_n_max"])
+        (["scan", "bessel_j0", "--xi", "1/2", "--bmax", "2",
+          "--window", "1e309"], "--window"),
+        (["scan", "bessel_j0", "--xi", "1/2", "--bmax", "2",
+          "--window", "201/100"], "--window"),
+    ], ids=["n", "n_start", "n_max", "precision", "bmax", "scan_n_max",
+            "window_beyond_float", "window"])
     def test_over_ceiling_exits_3(self, argv, option):
         # A child process, so that a hang fails on the timeout and a crash
         # shows its traceback on stderr.
@@ -189,6 +194,33 @@ class TestWorkCeilings:
             setattr(over, dest, getattr(at, dest) + 1)
             with pytest.raises(InputError, match="exceeds the ceiling"):
                 cli._check_ceilings(over)
+
+
+    def test_window_ceiling_itself_allowed(self):
+        for window in (str(cli._MAX_WINDOW), "-1", "1/2"):
+            cli._check_ceilings(argparse.Namespace(window=window))
+        with pytest.raises(InputError, match="exceeds the ceiling"):
+            cli._check_ceilings(argparse.Namespace(
+                window=f"{cli._MAX_WINDOW}.001"))
+
+
+class TestOversizedReport:
+    @pytest.mark.parametrize("xi", ["500", "1/1" + "0" * 200],
+                             ids=["xi_500", "xi_1e-200"])
+    def test_exits_3_without_traceback(self, xi):
+        # The report would hold an integer beyond Python's 4,300-digit
+        # int-to-str limit.  A child process, so that a crash shows its
+        # traceback on stderr.
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "efcert.cli", "bound", "bessel_j0",
+             "--xi", xi, "--target", "1,2"],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 3
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ")
+        assert "digits" in proc.stderr
 
 
 class TestParserReuse:

@@ -130,6 +130,21 @@ class TestAugmentExp:
                     == [tuple(col) for col in zip(*ref)]
         assert solved and set(solved) == {2}     # never the m = 3 system
 
+    @pytest.mark.parametrize("name", ["bessel", "kummer", "exp_pair",
+                                      "bessel_exp_third"])
+    def test_integer_columns(self, name, j0, kummer):
+        # requested out of order, so the numerators are extended, reused and
+        # truncated; D is the lcm of exactly the requested denominators
+        sys = {"bessel": j0, "kummer": kummer, "exp_pair": build_exp_pair(),
+               "bessel_exp_third": augment_exp(j0, F(1, 3))}[name]
+        for order in (17, 0, 5, 40, 23, 90):
+            d, columns = sys.integer_coefficients(order)
+            series = sys.coefficients(order)
+            assert d == math.lcm(*(c.denominator for s in series
+                                   for c in s.coeffs))
+            assert columns == [tuple(c * d for c in s.coeffs)
+                               for s in series]
+
     def test_q_unchanged_when_T_nonconstant(self, j0, kummer):
         for sys in (j0, kummer):
             q0 = extract_params(sys).q

@@ -1,14 +1,16 @@
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from efcert import forms
-from efcert.algebra import Poly, RatFunc, det_exact
-from efcert.auxiliary import construct, remainder
-from efcert.efunction import augment_exp, make_system
+from efcert.algebra import Poly, RatFunc, RatSeries, det_exact
+from efcert.auxiliary import _combination, construct, remainder
+from efcert.efunction import augment_exp, extract_params, make_system
 from efcert.errors import (ExhaustedN, InputError, RankDeficientLadder,
                            SingularEvaluationPoint)
 from efcert.forms import (adaptive_bound, build_ladder, certified_lower_bound,
@@ -17,6 +19,53 @@ from efcert.efunction import GrowthCertificate
 from efcert.evalcert import eval_component
 
 from oracles import linear_form_oracle
+
+
+# -- references: the Poly/Fraction ladder that the integer rows replace
+
+def ref_ladder_rows(basis, sys, K):
+    """P_{k+1,j} = T P_{k,j}' + sum_i P_{k,i} (T A)_{i,j} on Poly rows."""
+    rows = [tuple(basis.polys)]
+    for _ in range(K - 1):
+        prev = rows[-1]
+        nxt = []
+        for j in range(sys.m):
+            acc = sys.T * prev[j].derivative()
+            for i in range(sys.m):
+                if not prev[i].is_zero():
+                    acc = acc + prev[i] * sys.TA[i][j]
+            nxt.append(acc)
+        rows.append(tuple(nxt))
+    return rows
+
+
+def ref_combination(polys, series, start, stop):
+    """Coefficients start..stop-1 of sum_i P_i s_i, one Fraction term at a
+    time, for Poly P_i and RatSeries s_i known to order stop-1."""
+    return [sum((b * s.coeffs[k - j] for p, s in zip(polys, series)
+                 for j, b in enumerate(p.coeffs[:k + 1])
+                 if b and s.coeffs[k - j]), F(0))
+            for k in range(start, stop)]
+
+
+def rationals(max_den):
+    return st.builds(F, st.integers(-50, 50), st.integers(1, max_den))
+
+
+LADDER_SYSTEMS = ["bessel", "kummer", "exp_pair", "bessel_exp_third"]
+
+
+@pytest.fixture(scope="module")
+def ladder_systems(j0, kummer, exp_pair):
+    return {"bessel": j0, "kummer": kummer, "exp_pair": exp_pair,
+            "bessel_exp_third": augment_exp(j0, F(1, 3))}
+
+
+def _ladder(sys, n):
+    basis = construct(sys, n)
+    params = extract_params(sys)
+    K = ladder_length(sys.m, params.q, params.p, n, basis.eps1)
+    return basis, K, build_ladder(basis, sys, K)
 
 
 class TestLadderLength:
@@ -63,6 +112,60 @@ class TestBuildLadder:
             derived = combos[k].derivative().mul_poly(j0.T)
             upto = min(derived.order, combos[k + 1].order)
             assert combos[k + 1].truncate(upto) == derived.truncate(upto)
+
+
+class TestIntegerLadder:
+    """The ladder is built, checked and evaluated on integer rows; these
+    compare it with the Poly/Fraction references above."""
+
+    @pytest.mark.parametrize("name", LADDER_SYSTEMS)
+    def test_rows_and_series_match_reference(self, name, ladder_systems):
+        sys = ladder_systems[name]
+        lam = sys.clear_factor
+        for n in range(1, 13):
+            basis, K, ladder = _ladder(sys, n)
+            assert list(ladder.rows) == ref_ladder_rows(basis, sys, K)
+            for k, row in enumerate(ladder.scaled_rows):
+                assert row == tuple(tuple(int(c * lam ** k) for c in p.coeffs)
+                                    for p in ladder.rows[k])
+            order = basis.achieved_order + K * (ladder.q + 1) + 8
+            series = sys.coefficients(order)
+            d, columns = sys.integer_coefficients(order)
+            for k, row in enumerate(ladder.scaled_rows):
+                got = [F(v, d * lam ** k)
+                       for v in _combination(row, columns, 0, order + 1)]
+                assert got == ref_combination(ladder.rows[k], series, 0,
+                                              order + 1), (n, k)
+
+    @pytest.mark.parametrize("name", LADDER_SYSTEMS)
+    def test_evaluation_matches_fraction_horner(self, name, ladder_systems):
+        sys = ladder_systems[name]
+        for n in (1, 4, 9):
+            _, _, ladder = _ladder(sys, n)
+            for xi in (F(1, 2), F(4, 7), F(1), F(3)):
+                forms_at = evaluate_forms(ladder, xi)
+                for k, row in enumerate(ladder.rows):
+                    s = (xi.denominator ** ladder.degree_bounds[k]
+                         * ladder.clear_factor ** k)
+                    assert forms_at.row_scales[k] == s
+                    assert forms_at.rows[k] == tuple(s * p(xi) for p in row)
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(st.integers(1, 3).flatmap(lambda m: st.tuples(
+        st.lists(st.lists(rationals(12), max_size=6), min_size=m, max_size=m),
+        st.lists(st.lists(rationals(30), min_size=9, max_size=9),
+                 min_size=m, max_size=m),
+        st.integers(0, 8))))
+    def test_combination_matches_fraction_reference(self, case):
+        coeffs, cols, start = case
+        polys = [Poly(c) for c in coeffs]
+        series = [RatSeries(c) for c in cols]
+        lam = math.lcm(*(c.denominator for p in polys for c in p.coeffs))
+        d = math.lcm(*(c.denominator for col in cols for c in col))
+        ints = [[int(c * lam) for c in p.coeffs] for p in polys]
+        columns = [[int(c * d) for c in col] for col in cols]
+        got = [F(v, lam * d) for v in _combination(ints, columns, start, 9)]
+        assert got == ref_combination(polys, series, start, 9)
 
 
 class TestEvaluateForms:

@@ -9,7 +9,7 @@ from efcert import forms, logmeasure
 from efcert.algebra import Poly, RatFunc
 from efcert.efunction import (GrowthCertificate, augment_exp, make_system,
                               rescale)
-from efcert.errors import (DegenerateFit, MissingExponentBound,
+from efcert.errors import (DegenerateFit, InputError, MissingExponentBound,
                            NonPositiveValue)
 from efcert.evalcert import RatInterval, eval_component
 from efcert.logmeasure import (LogBoundResult, LogConfig, exponent_fit,
@@ -111,6 +111,10 @@ class TestMeasureScan:
         for r in rows:
             oracle = log_distance_oracle("bessel_j0", F(1), r.a, r.b)
             assert r.bound <= oracle
+
+    def test_window_beyond_float_rejected(self, j0):
+        with pytest.raises(InputError, match="window"):
+            measure_scan(j0, F(1, 2), 2, F(10) ** 309, CFG)
 
     def test_zero_window_empty(self, j0):
         assert measure_scan(j0, 1, 3, 0, CFG) == []
