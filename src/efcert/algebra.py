@@ -5,17 +5,20 @@ Polynomial and series coefficients are :class:`fractions.Fraction`
 (arbitrary precision, always in lowest terms, positive denominator), so every
 value in the package is exact.  Polynomials are dense coefficient tuples
 indexed by degree.  The series hot loops do not use these classes: they run
-on integers with an explicit denominator (``DiffSystem.integer_coefficients``
-gives the Taylor columns over one common denominator, ``auxiliary`` forms the
-remainder from them by integer dot products, and ``forms`` builds, checks and
-evaluates the ladder on integer rows), and convert to ``Fraction`` once per
-result.  The linear algebra runs on integers: each row's
-denominators are cleared once, and a single fraction-free Gauss-Jordan
-elimination serves both the kernel and the rank, while determinants use
-Bareiss elimination.  It is deliberately small and deterministic:
-first-nonzero pivoting in row-major order, kernel vectors scaled to primitive
-integer vectors with a positive leading entry, so repeated runs produce
-identical output.
+on integers with an explicit denominator and convert to ``Fraction`` once per
+result.  ``DiffSystem.integer_coefficients`` gives the Taylor columns over one
+common denominator; a system with exp(beta z) adjoined puts its base's
+columns next to the closed form ``exp_numerators``.  ``auxiliary`` builds the
+vanishing matrix from those columns and forms the remainder from them by
+integer dot products, ``forms`` builds, checks and evaluates the ladder on
+integer rows, and ``evalcert`` sums each Taylor enclosure with one integer
+``horner``.  The linear algebra runs on integers: each row's denominators are
+cleared once (integer rows, such as the vanishing matrix, need no clearing),
+and a single fraction-free Gauss-Jordan elimination serves both the kernel
+and the rank, while determinants use Bareiss elimination.  It is
+deliberately small and deterministic: first-nonzero pivoting in row-major
+order, kernel vectors scaled to primitive integer vectors with a positive
+leading entry, so repeated runs produce identical output.
 """
 
 from __future__ import annotations
@@ -58,6 +61,35 @@ def common_numerators(nums: Sequence[int], steps: Sequence[int]
         out[p] = nums[p] * scale
         scale *= steps[p]
     return scale, out
+
+
+def exp_numerators(beta: Fraction, order: int) -> tuple[int, list[int]]:
+    """The Taylor coefficients beta^k/k! of exp(beta z), k = 0..order, as
+    (D, [D beta^k/k!]) with D the lcm of their denominators.
+
+    With beta = a/b they are e_k / E for e_k = a^k b^(order-k) order!/k!
+    and E = e_0 = b^order order!; the lcm of their denominators is E / g,
+    g the gcd of the e_k, so no coefficient is reduced on its own.
+    """
+    a, b = beta.numerator, beta.denominator
+    tops = [1] * (order + 1)                  # b^(order-k) order!/k!
+    for k in range(order, 0, -1):
+        tops[k - 1] = tops[k] * b * k
+    nums, power = [], 1
+    for t in tops:
+        nums.append(power * t)
+        power *= a
+    g = math.gcd(*reversed(nums))            # small entries first
+    return nums[0] // g, [e // g for e in nums]
+
+
+def horner(p: Sequence[int], a: int, d: int) -> int:
+    """sum_j p[j] a^j d^(len(p)-1-j): d^deg p times p(a/d)."""
+    acc, dp = 0, 1
+    for c in reversed(p):
+        acc = acc * a + c * dp
+        dp *= d
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -475,18 +507,18 @@ def _reduce_rows(matrix: Sequence[Sequence[Rational | int]]
     """Reduced row echelon form over the integers: the nonzero rows, each a
     primitive integer multiple of its RREF row, and their pivot columns.
 
-    Denominators are cleared row by row.  Gauss-Jordan elimination with
-    first-nonzero pivoting replaces row_i by p row_i - f row_r (p the pivot,
+    Denominators are cleared row by row through each entry's numerator and
+    denominator, so integer rows pass unconverted.  Gauss-Jordan elimination
+    with first-nonzero pivoting replaces row_i by p row_i - f row_r (p the pivot,
     f the entry of row_i in the pivot column) and divides out the content,
     so rows stay integral and small (fraction-free elimination after
     Bareiss, Math. Comp. 1968).
     """
     rows = []
     for row in matrix:
-        fs = [Fraction(e) for e in row]
-        d = math.lcm(*(f.denominator for f in fs))
-        rows.append(_primitive([f.numerator * (d // f.denominator)
-                                for f in fs]))
+        d = math.lcm(*(e.denominator for e in row))
+        rows.append(_primitive([e.numerator * (d // e.denominator)
+                                for e in row]))
     width = len(rows[0]) if rows else 0
     if any(len(r) != width for r in rows):
         raise ValueError("matrix rows have unequal lengths")

@@ -136,8 +136,10 @@ def construct(sys: DiffSystem, n: int, eps1: Rational | None = None
         eps1 = default_eps1(m)
     eps1 = validate_eps1(m, eps1)
     tau = vanishing_order_target(m, n, eps1)
-    series = sys.coefficients(tau - 1)          # tau >= 1 for n >= 1
-    matrix = [[series[i].coefficient(k - nu) if nu <= k else Fraction(0)
+    limit = tau + m * (n + 1) + _ACHIEVED_SEARCH_SLACK
+    d, ext = sys.integer_coefficients(limit)
+    # row k: the coefficient of z^k in R, times d (tau >= 1 for n >= 1)
+    matrix = [[ext[i][k - nu] if nu <= k else 0
                for i in range(m) for nu in range(n + 1)]
               for k in range(tau)]
     kernel = kernel_basis(matrix)
@@ -147,8 +149,6 @@ def construct(sys: DiffSystem, n: int, eps1: Rational | None = None
     vec = min(kernel, key=lambda v: (max(abs(e) for e in v), v))
     polys = tuple(Poly(vec[i * (n + 1):(i + 1) * (n + 1)]) for i in range(m))
 
-    limit = tau + m * (n + 1) + _ACHIEVED_SEARCH_SLACK
-    d, ext = sys.integer_coefficients(limit)
     ints = _integer_polys(polys)
     r = _remainder_terms(ints, d, ext, 0, tau)
     for k, c in enumerate(r):

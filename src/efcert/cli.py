@@ -203,16 +203,19 @@ def _load(arg: str) -> tuple[DiffSystem, str]:
     return parse_system(path), path.name
 
 
-def _system_parameters(system: DiffSystem
+def _system_parameters(system: DiffSystem, *, need_n0: bool = False
                        ) -> tuple[dict, zeroestimate.ExponentData | None]:
     """The effectivity parameters and n0 bound shared by ``params`` and
-    ``bound``; exponent data is None when a point lacks an exponent bound."""
+    ``bound``; exponent data and n0 are None when a point lacks an exponent
+    bound, unless need_n0 asks for the MissingExponentBound error."""
     params = extract_params(system)
     try:
         data = zeroestimate.exponent_data(system)
         ceiling = data.ceiling
         n0 = zeroestimate.n0_bound(system.m, params.q, ceiling).value
     except MissingExponentBound:
+        if need_n0:
+            raise
         data = ceiling = n0 = None
     return {
         "m": system.m,
@@ -277,8 +280,12 @@ def _parse_target(text: str) -> tuple[int, ...]:
         raise InputError(f"target must be comma-separated integers: {text!r}")
 
 
-def _parameter_block(system: DiffSystem, n: int, eps1) -> dict:
-    block, _ = _system_parameters(system)
+def _parameter_block(system: DiffSystem, block: dict | None, n: int,
+                     eps1) -> dict:
+    """The report's parameter block at degree n, extending the
+    _system_parameters block (computed here when None)."""
+    if block is None:
+        block, _ = _system_parameters(system)
     eps1 = auxiliary.validate_eps1(system.m, eps1) if eps1 is not None \
         else auxiliary.default_eps1(system.m)
     ladder = forms.ladder_length(system.m, block["q"], block["p"], n, eps1)
@@ -295,8 +302,11 @@ def cmd_bound(args) -> int:
     xi = parse_rational(args.xi)
     target = _parse_target(args.target)
     eps1 = parse_rational(args.eps1) if args.eps1 else None
-    n_max = args.n_max if args.n_max is not None \
-        else forms.default_n_max(system)
+    block = None
+    n_max = args.n_max
+    if n_max is None:
+        block, _ = _system_parameters(system, need_n0=True)
+        n_max = forms.default_n_max(block["n0_bound"])
     doc = {"command": "bound", "system": name, "xi": frac_str(xi),
            "target": [frac_str(a) for a in target], "n_max": n_max}
     try:
@@ -309,7 +319,7 @@ def cmd_bound(args) -> int:
         emit_report(doc)
         return EXIT_NOT_CERTIFIED
     doc["certificate"] = certificate_dict(cert)
-    doc["parameters"] = _parameter_block(system, cert.n, eps1)
+    doc["parameters"] = _parameter_block(system, block, cert.n, eps1)
     doc["status"] = cert.status
     emit_report(doc)
     return EXIT_OK if cert.certified else EXIT_NOT_CERTIFIED

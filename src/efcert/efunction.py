@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .algebra import (Poly, RatFunc, RatSeries, Rational, common_numerators,
-                      den, prefix_numerators)
+                      den, exp_numerators, prefix_numerators)
 from .errors import (AllComponentsZero, InconsistentSeeds, InputError,
                      UnderdeterminedSeeds)
 from .evalcert import exp_upper_bound
@@ -120,8 +120,12 @@ class DiffSystem:
         self._steps: list[int] = []
         self._lcm = 1
         if check_seeds:
-            probe = max(len(s) for s in self.seeds) + T.degree + 2
-            self.coefficients(probe)
+            self._probe_seeds()
+
+    def _probe_seeds(self):
+        """Solve a few levels past the longest seed, so that seeds which
+        contradict the system or leave a coefficient free fail here."""
+        self.coefficients(max(len(s) for s in self.seeds) + self.T.degree + 2)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, DiffSystem)
@@ -175,15 +179,52 @@ class DiffSystem:
 class _ExpAugmented(DiffSystem):
     """A base system with the component exp(beta z) adjoined (augment_exp).
 
-    The recurrence is block diagonal with the base's T, so no column is
-    solved for: columns 0..m-1 extend the base system's cached columns, and
-    column m is the closed form beta^k/k!.
+    Derived from the base, not rebuilt: A and T A are block diagonal, the
+    base's blocks next to the 1 x 1 blocks beta and beta T; T is the base's,
+    and clear_factor is the lcm of the base's and of the denominators of
+    beta T.  The recurrence is block diagonal too, so no column is solved
+    for: columns 0..m-1 extend the base system's cached columns, and column
+    m is the closed form beta^k/k!, also in the integer columns.
     """
 
-    def __init__(self, base: DiffSystem, beta: Fraction, *args, **kwargs):
+    def __init__(self, base: DiffSystem, beta: Fraction):
+        m = base.m
+        zero, zero_poly = RatFunc.zero(), Poly.zero()
+        beta_t = base.T.scale(beta)
         self._base = base
         self._beta = beta
-        super().__init__(*args, **kwargs)
+        self.m = m + 1
+        self.A = (tuple(row + (zero,) for row in base.A)
+                  + ((zero,) * m + (RatFunc.constant(beta),),))
+        self.T = base.T
+        self.TA = (tuple(row + (zero_poly,) for row in base.TA)
+                   + ((zero_poly,) * m + (beta_t,),))
+        self.seeds = base.seeds + ((Fraction(1),),)
+        self.labels = base.labels + (f"exp({beta}*z)",)
+        self.growth = None
+        if base.growth is not None:
+            self.growth = GrowthCertificate(max(base.growth.C, abs(beta)),
+                                            base.growth.D * den(beta),
+                                            base.growth.provenance)
+        self.exponent_bound = (None if base.exponent_bound is None
+                               else dict(base.exponent_bound))
+        self.clear_factor = math.lcm(base.clear_factor,
+                                     *(c.denominator for c in beta_t.coeffs))
+        self._columns = ()
+        self._probe_seeds()
+
+    def integer_coefficients(self, order: int
+                             ) -> tuple[int, list[tuple[int, ...]]]:
+        """The base's integer columns next to exp_numerators(beta, order),
+        both brought to the lcm of their denominators."""
+        d_base, columns = self._base.integer_coefficients(order)
+        d_exp, exp = exp_numerators(self._beta, order)
+        d = math.lcm(d_base, d_exp)
+        if d != d_base:
+            scale = d // d_base
+            columns = [tuple(c * scale for c in col) for col in columns]
+        scale = d // d_exp
+        return d, columns + [tuple(e * scale for e in exp)]
 
     def _solve(self, order: int) -> tuple[RatSeries, ...]:
         exp = list(self._columns[-1].coeffs) if self._columns \
@@ -395,23 +436,7 @@ def augment_exp(sys: DiffSystem, beta: Rational | int) -> DiffSystem:
     The growth certificate updates to C' = max(C, |beta|), D' = D*den(beta).
     The Taylor coefficients come from sys's columns and from beta^k/k!.
     """
-    beta = Fraction(beta)
-    m = sys.m
-    new_a = []
-    for i in range(m):
-        new_a.append(tuple(sys.A[i]) + (RatFunc.zero(),))
-    new_a.append(tuple(RatFunc.zero() for _ in range(m))
-                 + (RatFunc.constant(beta),))
-    growth = None
-    if sys.growth is not None:
-        growth = GrowthCertificate(max(sys.growth.C, abs(beta)),
-                                   sys.growth.D * den(beta),
-                                   sys.growth.provenance)
-    return _ExpAugmented(sys, beta, new_a, sys.T,
-                         sys.seeds + ((Fraction(1),),),
-                         labels=sys.labels + (f"exp({beta}*z)",),
-                         growth=growth,
-                         exponent_bound=sys.exponent_bound)
+    return _ExpAugmented(sys, Fraction(beta))
 
 
 def rescale(sys: DiffSystem, xi: Rational | int) -> DiffSystem:

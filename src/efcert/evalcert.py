@@ -2,9 +2,11 @@
 
 Values of the modelled entire functions at rational points are produced as
 intervals [lo, hi] with exact rational endpoints: an exact partial sum of the
-Taylor series plus a proven tail majorant from the growth certificate.  No
-floating point is involved anywhere, so downstream comparisons (sign tests,
-lower bounds) are exact.
+Taylor series plus a proven tail majorant from the growth certificate.  The
+partial sum is one integer Horner over the coefficient numerators and their
+common denominator (``DiffSystem.integer_coefficients``, or n!/k! over n! for
+e^r), made a ``Fraction`` once.  No floating point is involved anywhere, so
+downstream comparisons (sign tests, lower bounds) are exact.
 
 Tail majorant: if the scaled coefficients satisfy |phi_k| <= C^(k+1), then
 
@@ -19,7 +21,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import Rational
+from .algebra import Rational, exp_numerators, horner
 from .errors import MissingGrowthCertificate
 
 
@@ -115,14 +117,16 @@ def _geometric_tail(c: Fraction, x_abs: Fraction, n: int) -> Fraction | None:
 def _taylor_enclosure(coefficients, c: Fraction, x: Fraction,
                       width: Fraction) -> RatInterval:
     """Interval of width <= width containing sum_k a_k x^k, where
-    coefficients(n) lists a_0..a_n and a_k = phi_k/k! with |phi_k| <= c^(k+1).
+    coefficients(n) gives a_0..a_n as (D, [D a_0, ..., D a_n]), integers
+    over a common denominator D, and a_k = phi_k/k! with |phi_k| <= c^(k+1).
 
     The truncation order n grows until the tail majorant is valid and at
-    most width/4; the partial sum is exact (Horner).  At x = 0 the value a_0
-    is returned as a point.
+    most width/4; the partial sum is exact (one integer Horner over
+    D den(x)^n).  At x = 0 the value a_0 is returned as a point.
     """
     if x == 0:
-        return RatInterval.point(coefficients(0)[0])
+        d, nums = coefficients(0)
+        return RatInterval.point(Fraction(nums[0], d))
     x_abs = abs(x)
     n = max(4, int(c * x_abs) + 2)
     while True:
@@ -130,9 +134,9 @@ def _taylor_enclosure(coefficients, c: Fraction, x: Fraction,
         if tail is not None and tail <= width / 4:
             break
         n += max(4, n // 2)
-    acc = Fraction(0)
-    for a in reversed(coefficients(n)):
-        acc = acc * x + a
+    d, nums = coefficients(n)
+    acc = Fraction(horner(nums, x.numerator, x.denominator),
+                   d * x.denominator ** n)
     return RatInterval(acc - tail, acc + tail).outward_round(_grid_bits(width))
 
 
@@ -142,7 +146,8 @@ def eval_component(sys, i: int, x: Rational | int,
     system's solution vector at the rational point x.
 
     Requires a growth certificate on the system; the truncation order grows
-    until the tail majorant is valid and small enough.
+    until the tail majorant is valid and small enough.  The partial sum runs
+    on the system's integer columns (DiffSystem.integer_coefficients).
     """
     x = Fraction(x)
     width = Fraction(target_width)
@@ -151,8 +156,12 @@ def eval_component(sys, i: int, x: Rational | int,
     if sys.growth is None:
         raise MissingGrowthCertificate(
             "eval_component needs a growth certificate")
-    return _taylor_enclosure(lambda n: sys.coefficients(n)[i].coeffs,
-                             Fraction(sys.growth.C), x, width)
+
+    def coefficients(n: int) -> tuple[int, tuple[int, ...]]:
+        d, columns = sys.integer_coefficients(n)
+        return d, columns[i]
+
+    return _taylor_enclosure(coefficients, Fraction(sys.growth.C), x, width)
 
 
 def eval_exp(r: Rational | int, target_width: Rational) -> RatInterval:
@@ -162,9 +171,8 @@ def eval_exp(r: Rational | int, target_width: Rational) -> RatInterval:
     if width <= 0:
         raise ValueError("target_width must be positive")
     # e^r = sum r^k/k!: phi_k = 1 <= 1^(k+1)
-    return _taylor_enclosure(
-        lambda n: [Fraction(1, math.factorial(k)) for k in range(n + 1)],
-        Fraction(1), r, width)
+    return _taylor_enclosure(lambda n: exp_numerators(Fraction(1), n),
+                             Fraction(1), r, width)
 
 
 def exp_upper_bound(r: Rational | int) -> Fraction:

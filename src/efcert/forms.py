@@ -31,7 +31,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .algebra import (Poly, Rational, cofactor, common_numerators, det_exact,
-                      prefix_numerators, rank)
+                      horner, prefix_numerators, rank)
 from .auxiliary import (AuxiliaryBasis, RemainderSeries, _combination,
                         _integer_polys, _remainder_upto, construct,
                         default_eps1, remainder, validate_eps1)
@@ -112,15 +112,6 @@ def _next_row(row: Sequence[Sequence[int]], lam_t: Sequence[int],
     return tuple(out)
 
 
-def _horner(p: Sequence[int], a: int, d: int) -> int:
-    """sum_j p[j] a^j d^(len(p)-1-j): d^deg p times p(a/d)."""
-    acc, dp = 0, 1
-    for c in reversed(p):
-        acc = acc * a + c * dp
-        dp *= d
-    return acc
-
-
 def build_ladder(basis: AuxiliaryBasis, sys: DiffSystem, K: int) -> FormsLadder:
     """Iterate the update rule and verify the ladder identity on exact
     truncated series (failure here is an internal bug, not bad input).
@@ -194,7 +185,7 @@ def evaluate_forms(ladder: FormsLadder, xi: Rational) -> IntegerForms:
         for p in row:
             if len(p) - 1 > bound:
                 raise AssertionError("denominator clearing failed")
-            vals.append(_horner(p, a, d) * d ** (bound - len(p) + 1))
+            vals.append(horner(p, a, d) * d ** (bound - len(p) + 1))
         rows.append(tuple(vals))
         scales.append(d ** bound * ladder.clear_factor ** k)
     return IntegerForms(rows=tuple(rows), row_scales=tuple(scales), xi=xi)
@@ -308,7 +299,7 @@ def _scaled_form_upper_bounds(rem: RemainderSeries, ladder_rows: list[int],
             poly = _mul(t, _derivative(poly))
         power = k
         tail_part = _operator_tail_sum(rem, k, xi, t_poly)
-        value = (Fraction(abs(_horner(poly, a, d)), e * d ** (len(poly) - 1))
+        value = (Fraction(abs(horner(poly, a, d)), e * d ** (len(poly) - 1))
                  if poly else Fraction(0))
         uppers.append(scales[k] * (value + tail_part))
     return tuple(uppers)
@@ -419,9 +410,9 @@ def certified_lower_bound(sys: DiffSystem, xi: Rational,
         row_upper_bounds=uppers, f_ell_lower=f_lower, lower_bound=bound)
 
 
-def default_n_max(sys: DiffSystem) -> int:
+def default_n_max(n0: int) -> int:
     """Last degree the adaptive loop tries when no n_max is given: 4 n0."""
-    return 4 * n0_for_system(sys).value
+    return 4 * n0
 
 
 def adaptive_bound(sys: DiffSystem, xi: Rational, target: Sequence[int], *,
@@ -441,7 +432,7 @@ def adaptive_bound(sys: DiffSystem, xi: Rational, target: Sequence[int], *,
         raise InputError("n_start must be >= 1")
     _check_precision(precision_bits)
     if n_max is None:
-        n_max = default_n_max(sys)
+        n_max = default_n_max(n0_for_system(sys).value)
     xi = Fraction(xi)
     _check_evaluation_point(sys, xi)
     if component_intervals is None:

@@ -26,7 +26,8 @@ from .errors import (DegenerateFit, ExhaustedN, InputError,
                      MissingExponentBound, NonPositiveValue,
                      SingularEvaluationPoint)
 from .evalcert import RatInterval, eval_component, eval_exp
-from .forms import CERTIFIED, NOT_CERTIFIED, BoundCertificate, adaptive_bound
+from .forms import (CERTIFIED, NOT_CERTIFIED, BoundCertificate, adaptive_bound,
+                    default_n_max)
 from .zeroestimate import n0_for_system
 
 PATH_FORMS = "forms"
@@ -181,7 +182,7 @@ def log_lower_bound(sys: DiffSystem, xi: Rational, a: int, b: int,
     try:
         forms_cert = adaptive_bound(
             aug, Fraction(1), target,
-            n_max=4 * n0 if config.n_max is None else config.n_max,
+            n_max=default_n_max(n0) if config.n_max is None else config.n_max,
             precision_bits=config.precision_bits,
             component_intervals=state.component_intervals(aug))
     except ExhaustedN as exc:

@@ -240,6 +240,28 @@ class TestCommonDenominator:
             == (nums, steps, lcm)
 
 
+integer_matrices = st.tuples(st.integers(1, 5), st.integers(1, 6)).flatmap(
+    lambda shape: st.lists(st.lists(st.integers(-6, 6), min_size=shape[1],
+                                    max_size=shape[1]),
+                           min_size=shape[0], max_size=shape[0]))
+
+
+class TestKernelProperties:
+    # small entries, so dependent rows and zero columns occur
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(integer_matrices, st.data())
+    def test_scaled_rows_and_annihilation(self, m, data):
+        divisors = data.draw(st.lists(st.integers(1, 10 ** 6),
+                                      min_size=len(m), max_size=len(m)))
+        scaled = [[F(e, q) for e in row] for row, q in zip(m, divisors)]
+        kernel = kernel_basis(m)
+        assert kernel_basis(scaled) == kernel
+        assert rank(scaled) == rank(m) == len(m[0]) - len(kernel)
+        for vec in kernel:
+            assert all(sum(e * v for e, v in zip(row, vec)) == 0
+                       for row in m)
+
+
 class TestAgainstLaplaceExpansion:
     # small entries, so zero pivots, row swaps and singular matrices occur
     @settings(derandomize=True, max_examples=200, deadline=None)

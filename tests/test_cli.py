@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from efcert import cli
+from efcert import cli, zeroestimate
 from efcert.errors import InputError
 from efcert.sysdesc import catalog_file
 
@@ -88,6 +88,41 @@ class TestBoundCommand:
         code, _, _ = run_cli(capsys, "bound", "exp_pair", "--xi", "x",
                              "--target", "1,0")
         assert code == 3
+
+    def test_exponent_data_computed_once(self, capsys, monkeypatch):
+        # n_max = 4 n0 and the report's parameter block share one
+        # computation of the exponent data
+        calls = []
+        exponent_data = zeroestimate.exponent_data
+
+        def counting(system):
+            calls.append(system)
+            return exponent_data(system)
+
+        monkeypatch.setattr(zeroestimate, "exponent_data", counting)
+        code, out, _ = run_cli(capsys, "bound", "bessel_j0", "--xi", "1/2",
+                               "--target", "1,2")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["n_max"] == 4 * doc["parameters"]["n0_bound"] == 448
+        assert len(calls) == 1
+
+    def test_missing_exponent_bound(self, capsys, tmp_path):
+        # infinity is irregular for A = (1): without --n-max there is no n0
+        # and so no default n_max; with it, the report has no n0
+        p = tmp_path / "no_exponent_bound.json"
+        p.write_text(json.dumps({
+            "m": 1, "A": [["1"]], "seeds": [["1"]],
+            "growth": {"C": "1", "D": "1", "provenance": "user-supplied"}}),
+            encoding="utf-8")
+        argv = ("bound", str(p), "--xi", "1", "--target", "1")
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert err == ("error: irregular singular point infinity: supply "
+                       "exponent_bound['infinity'] or a global bound\n")
+        code, out, _ = run_cli(capsys, *argv, "--n-max", "2")
+        assert code == 0
+        assert json.loads(out)["parameters"]["n0_bound"] is None
 
 
 class TestLogboundCommand:

@@ -17,6 +17,24 @@ from efcert.errors import (AllComponentsZero, InconsistentSeeds, InputError,
 from conftest import build_exp_pair
 
 
+def ref_augment(sys, beta):
+    """augment_exp built the generic way: the block matrix A, with T A and
+    clear_factor computed entry by entry by DiffSystem."""
+    beta = F(beta)
+    m = sys.m
+    a = [tuple(sys.A[i]) + (RatFunc.zero(),) for i in range(m)]
+    a.append((RatFunc.zero(),) * m + (RatFunc.constant(beta),))
+    growth = GrowthCertificate(max(sys.growth.C, abs(beta)),
+                               sys.growth.D * beta.denominator,
+                               sys.growth.provenance)
+    return DiffSystem(a, sys.T, sys.seeds + ((F(1),),),
+                      labels=sys.labels + (f"exp({beta}*z)",), growth=growth,
+                      exponent_bound=sys.exponent_bound)
+
+
+AUGMENT_BETAS = [F(0), F(-3, 7), F(3, 2), F(6, 5), F(-9, 2)]
+
+
 def bessel_A():
     z = Poly.x()
     return ((RatFunc.zero(), RatFunc(Poly.one())),
@@ -144,6 +162,34 @@ class TestAugmentExp:
                                    for c in s.coeffs))
             assert columns == [tuple(c * d for c in s.coeffs)
                                for s in series]
+
+    @pytest.mark.parametrize("beta", AUGMENT_BETAS)
+    def test_derived_equals_generic(self, beta, j0, kummer):
+        for base in (j0, kummer, rescale(j0, F(2, 3)), build_exp_pair()):
+            aug, ref = augment_exp(base, beta), ref_augment(base, beta)
+            assert aug.A == ref.A
+            assert aug.TA == ref.TA
+            assert aug.clear_factor == ref.clear_factor
+            assert aug == ref and ref == aug
+            assert (aug.m, aug.T, aug.seeds, aug.labels, aug.growth,
+                    aug.exponent_bound) == (ref.m, ref.T, ref.seeds,
+                                            ref.labels, ref.growth,
+                                            ref.exponent_bound)
+
+    @pytest.mark.parametrize("beta", AUGMENT_BETAS)
+    def test_augmented_integer_columns(self, beta, j0, kummer):
+        # -9/2 exceeds the growth constant C of both bases; the orders are
+        # requested out of order, and D is the lcm of exactly the requested
+        # denominators
+        for base in (j0, kummer):
+            aug = augment_exp(base, beta)
+            for order in (17, 0, 5, 40, 23, 90):
+                d, columns = aug.integer_coefficients(order)
+                series = aug.coefficients(order)
+                assert d == math.lcm(*(c.denominator for s in series
+                                       for c in s.coeffs))
+                assert columns == [tuple(c * d for c in s.coeffs)
+                                   for s in series]
 
     def test_q_unchanged_when_T_nonconstant(self, j0, kummer):
         for sys in (j0, kummer):

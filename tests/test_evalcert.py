@@ -1,17 +1,128 @@
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from efcert.evalcert import RatInterval, _grid_bits, eval_component, eval_exp
+from conftest import build_exp_pair, build_j0, build_kummer
+from efcert.efunction import augment_exp
+from efcert.evalcert import (RatInterval, _geometric_tail, _grid_bits,
+                             eval_component, eval_exp)
 
 # 55-digit references (standard published expansions; cross-checked against
 # mpmath direct summation in tests/oracles.py)
 E_REF = F("2.718281828459045235360287471352662497757247093699959575")
 E2_REF = F("7.389056098930650227230427460575007813180315570551847324")
 J01_REF = F("0.7651976865579665514497175261026632209092742897553252419")
+
+
+# -- reference: the Fraction Horner that the integer enclosures replace
+
+def ref_taylor_enclosure(coefficients, c, x, width):
+    """Enclosure of sum_k a_k x^k for coefficients(n) = [a_0, ..., a_n] as
+    Fractions: the same truncation order, tail and rounding, with the
+    partial sum by Fraction Horner."""
+    if x == 0:
+        return RatInterval.point(coefficients(0)[0])
+    x_abs = abs(x)
+    n = max(4, int(c * x_abs) + 2)
+    while True:
+        tail = _geometric_tail(c, x_abs, n)
+        if tail is not None and tail <= width / 4:
+            break
+        n += max(4, n // 2)
+    acc = F(0)
+    for a in reversed(coefficients(n)):
+        acc = acc * x + a
+    return RatInterval(acc - tail, acc + tail).outward_round(_grid_bits(width))
+
+
+def ref_eval_exp(r, width):
+    return ref_taylor_enclosure(
+        lambda n: [F(1, math.factorial(k)) for k in range(n + 1)],
+        F(1), F(r), F(width))
+
+
+def ref_eval_component(sys, i, x, width):
+    return ref_taylor_enclosure(lambda n: sys.coefficients(n)[i].coeffs,
+                                F(sys.growth.C), F(x), F(width))
+
+
+ENCLOSURE_SYSTEMS = {
+    "j0": build_j0(),
+    "kummer": build_kummer(),
+    "exp_pair": build_exp_pair(),
+    "j0_exp_-3_7": augment_exp(build_j0(), F(-3, 7)),
+    "kummer_exp_3_2": augment_exp(build_kummer(), F(3, 2)),
+}
+POINTS = [F(-7, 3), F(-1), F(-1, 2), F(0), F(1, 3), F(1), F(5, 2)]
+
+
+class TestAgainstFractionHorner:
+    @pytest.mark.parametrize("name", sorted(ENCLOSURE_SYSTEMS))
+    def test_eval_component(self, name):
+        sys = ENCLOSURE_SYSTEMS[name]
+        for width in (F(1, 10 ** 6), F(1, 2 ** 256)):
+            for x in POINTS:
+                for i in range(sys.m):
+                    assert eval_component(sys, i, x, width) \
+                        == ref_eval_component(sys, i, x, width), (x, i)
+
+    def test_eval_exp(self):
+        for width in (F(1), F(1, 10 ** 6), F(1, 2 ** 256)):
+            for r in POINTS + [F(-13, 3), F(7, 2), F(20)]:
+                assert eval_exp(r, width) == ref_eval_exp(r, width), r
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(st.sampled_from(sorted(ENCLOSURE_SYSTEMS)), st.integers(0, 2),
+           st.fractions(-4, 4, max_denominator=60), st.integers(1, 320))
+    def test_random_points(self, name, i, x, bits):
+        sys = ENCLOSURE_SYSTEMS[name]
+        i = min(i, sys.m - 1)
+        width = F(1, 2 ** bits)
+        assert eval_component(sys, i, x, width) \
+            == ref_eval_component(sys, i, x, width)
+        assert eval_exp(x, width) == ref_eval_exp(x, width)
+
+
+def points_of(iv, ts):
+    return [iv.lo + t * (iv.hi - iv.lo) for t in ts]
+
+
+rationals = st.builds(F, st.integers(-10 ** 4, 10 ** 4), st.integers(1, 300))
+intervals = st.tuples(rationals, rationals).map(
+    lambda p: RatInterval(min(p), max(p)))
+# positions inside an interval, as fractions of its width
+positions = st.lists(st.integers(0, 96), max_size=3).map(
+    lambda ts: [F(0), F(1)] + [F(t, 96) for t in ts])
+
+
+class TestRatIntervalContainment:
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(intervals, intervals, positions, positions)
+    def test_arithmetic(self, a, b, ts, us):
+        add, sub, mul = a + b, a - b, a * b
+        for x in points_of(a, ts):
+            for y in points_of(b, us):
+                assert add.lo <= x + y <= add.hi
+                assert sub.lo <= x - y <= sub.hi
+                assert mul.lo <= x * y <= mul.hi
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(intervals, rationals, positions, st.integers(1, 80))
+    def test_scale_and_outward_round(self, a, c, ts, bits):
+        scaled = a.scale(c)
+        rounded = a.outward_round(bits)
+        grid = F(1, 2 ** bits)
+        assert rounded.lo.denominator <= 2 ** bits
+        assert rounded.hi.denominator <= 2 ** bits
+        assert a.lo - grid < rounded.lo and rounded.hi < a.hi + grid
+        for x in points_of(a, ts):
+            assert scaled.lo <= c * x <= scaled.hi
+            assert rounded.lo <= x <= rounded.hi
 
 
 class TestRatInterval:
