@@ -7,7 +7,9 @@ value in the package is exact.  Polynomials are dense coefficient tuples
 indexed by degree.  The series hot loops do not use these classes: they run
 on integers with an explicit denominator and convert to ``Fraction`` once per
 result.  ``DiffSystem.integer_coefficients`` gives the Taylor columns over one
-common denominator; a system with exp(beta z) adjoined puts its base's
+common denominator from the system's one store of integer numerators
+(``prefix_numerators``), of which ``DiffSystem.coefficients`` is the
+``Fraction`` view; a system with exp(beta z) adjoined puts its base's
 columns next to the closed form ``exp_numerators``.  ``auxiliary`` builds the
 vanishing matrix from those columns and forms the remainder from them by
 integer dot products, ``forms`` builds, checks and evaluates the ladder on

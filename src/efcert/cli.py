@@ -375,7 +375,10 @@ def cmd_scan(args) -> int:
                                    _log_config(args))
     text = scan_rows_to_csv(rows)
     if args.csv:
-        Path(args.csv).write_text(text, encoding="utf-8")
+        try:
+            Path(args.csv).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise InputError(f"cannot write {args.csv}: {exc}") from None
     else:
         _sys.stdout.write(text)
     summary = {

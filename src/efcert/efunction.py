@@ -7,7 +7,11 @@ and optionally a growth certificate (C, D) and exponent modulus bounds.
 Taylor coefficients are obtained exactly from the linear recurrence that
 equating powers of z in T Y' = (T A) Y imposes; z = 0 may be a singular
 point, so the solver treats the recurrence as an incremental sparse linear
-system and verifies that the seeds pin a unique solution.
+system and verifies that the seeds pin a unique solution.  Each system keeps
+one store of them, integer numerators over prefix lcms, which the hot loops
+read through ``integer_coefficients``; ``coefficients`` is its ``Fraction``
+view.  A system with exp(beta z) adjoined keeps no store of its own: it reads
+its base's and the closed form ``algebra.exp_numerators``.
 
 The growth certificate asserts |phi_{k,i}| <= C^(k+1) for the scaled
 coefficients f_i = sum phi_{k,i} z^k / k!, and that the common denominator of
@@ -70,15 +74,15 @@ class DiffSystem:
     adjoining an exponential block exp(beta z) with den(beta) > 1, where T is
     deliberately kept fixed); ``clear_factor`` records the least positive
     integer lambda with lambda*T*A integral, which downstream denominator
-    clearing uses.
+    clearing uses.  The seeds are probed on construction; the Taylor
+    coefficients are kept in one integer store, solved into on demand.
     """
 
     def __init__(self, A: Sequence[Sequence[RatFunc]], T: Poly,
                  seeds: Sequence[Sequence[Rational | int]],
                  labels: Sequence[str] | None = None,
                  growth: GrowthCertificate | None = None,
-                 exponent_bound: dict[str, Fraction] | None = None,
-                 check_seeds: bool = True):
+                 exponent_bound: dict[str, Fraction] | None = None):
         m = len(A)
         if m == 0 or any(len(row) != m for row in A):
             raise InputError("A must be a nonempty square matrix")
@@ -113,14 +117,13 @@ class DiffSystem:
                                      for k, v in exponent_bound.items()})
         self.clear_factor = math.lcm(*(
             c.denominator for row in self.TA for p in row for c in p.coeffs))
-        self._columns: tuple[RatSeries, ...] = ()
         # prefix_numerators of the coefficients in level order (level k,
-        # component i at k * m + i), extended as integer_coefficients needs
+        # component i at k * m + i), solved into as integer_coefficients needs
         self._nums: list[int] = []
         self._steps: list[int] = []
         self._lcm = 1
-        if check_seeds:
-            self._probe_seeds()
+        self._params: SystemParams | None = None
+        self._probe_seeds()
 
     def _probe_seeds(self):
         """Solve a few levels past the longest seed, so that seeds which
@@ -144,36 +147,30 @@ class DiffSystem:
 
     def coefficients(self, order: int) -> list[RatSeries]:
         """Exact Taylor coefficients (phi_{k,i}/k!) up to the given order for
-        every component: the cached columns, truncated to order + 1 terms."""
-        if order < 0:
-            raise ValueError("order must be >= 0")
-        cached = self._columns[0].order if self._columns else -1
-        if cached < order:
-            self._columns = self._solve(max(order, 2 * (cached + 1)))
-        return [s.truncate(order) for s in self._columns]
+        every component: integer_coefficients(order) as Fractions."""
+        d, columns = self.integer_coefficients(order)
+        return [RatSeries._of(tuple(Fraction(c, d) for c in col))
+                for col in columns]
 
     def integer_coefficients(self, order: int
                              ) -> tuple[int, list[tuple[int, ...]]]:
-        """The columns of coefficients(order) as (D, numerators): D is the
-        lcm of their coefficient denominators, and each column holds the
-        integers D * coefficient for orders 0..order."""
-        columns = self.coefficients(order)
+        """The Taylor columns up to the given order as (D, numerators): D is
+        the lcm of their coefficient denominators, and each column holds the
+        integers D * coefficient for orders 0..order.  A miss solves the
+        recurrence to max(order, twice the levels known) into the store."""
+        if order < 0:
+            raise ValueError("order must be >= 0")
         m = self.m
         known = len(self._nums) // m
         if known <= order:
+            levels = _solve_recurrence(self, max(order, 2 * known))
             nums, steps, self._lcm = prefix_numerators(
-                (s.coeffs[k] for k in range(known, order + 1)
-                 for s in columns), self._lcm)
+                (c for level in levels[known:] for c in level), self._lcm)
             self._nums += nums
             self._steps += steps
         d, flat = common_numerators(self._nums[:(order + 1) * m],
                                     self._steps[:(order + 1) * m])
         return d, [tuple(flat[i::m]) for i in range(m)]
-
-    def _solve(self, order: int) -> tuple[RatSeries, ...]:
-        """The columns of every component up to the given order."""
-        levels = _solve_recurrence(self, order)
-        return tuple(RatSeries(col) for col in zip(*levels))
 
 
 class _ExpAugmented(DiffSystem):
@@ -183,8 +180,8 @@ class _ExpAugmented(DiffSystem):
     base's blocks next to the 1 x 1 blocks beta and beta T; T is the base's,
     and clear_factor is the lcm of the base's and of the denominators of
     beta T.  The recurrence is block diagonal too, so no column is solved
-    for: columns 0..m-1 extend the base system's cached columns, and column
-    m is the closed form beta^k/k!, also in the integer columns.
+    for and there is no store of its own: the integer columns are the
+    base's next to the closed form exp_numerators(beta, order).
     """
 
     def __init__(self, base: DiffSystem, beta: Fraction):
@@ -210,7 +207,7 @@ class _ExpAugmented(DiffSystem):
                                else dict(base.exponent_bound))
         self.clear_factor = math.lcm(base.clear_factor,
                                      *(c.denominator for c in beta_t.coeffs))
-        self._columns = ()
+        self._params = None
         self._probe_seeds()
 
     def integer_coefficients(self, order: int
@@ -225,14 +222,6 @@ class _ExpAugmented(DiffSystem):
             columns = [tuple(c * scale for c in col) for col in columns]
         scale = d // d_exp
         return d, columns + [tuple(e * scale for e in exp)]
-
-    def _solve(self, order: int) -> tuple[RatSeries, ...]:
-        exp = list(self._columns[-1].coeffs) if self._columns \
-            else [Fraction(1)]
-        for k in range(len(exp), order + 1):
-            exp.append(exp[-1] * self._beta / k)
-        return (tuple(self._base.coefficients(order))
-                + (RatSeries._of(tuple(exp)),))
 
 
 def _solve_recurrence(sys: DiffSystem, nmax: int) -> list[tuple[Fraction, ...]]:
@@ -407,12 +396,14 @@ _VANISHING_SEARCH_FACTOR = 4
 
 
 def extract_params(sys: DiffSystem) -> SystemParams:
-    """Read off (p, q, E) and echo T.
+    """Read off (p, q, E) and echo T, once per system.
 
     p is the least level with a nonzero Taylor coefficient in any component;
     if every coefficient vanishes up to the search limit the system is
-    reported as identically zero.
+    reported as identically zero, on every call.
     """
+    if sys._params is not None:
+        return sys._params
     q = sys.T.degree
     e = sys.T.max_abs_coeff()
     for row in sys.TA:
@@ -420,10 +411,11 @@ def extract_params(sys: DiffSystem) -> SystemParams:
             q = max(q, entry.degree)
             e = max(e, entry.max_abs_coeff())
     limit = _VANISHING_SEARCH_FACTOR * (q + 1) * sys.m + 16
-    series = sys.coefficients(limit)
+    _, columns = sys.integer_coefficients(limit)
     for k in range(limit + 1):
-        if any(s.coefficient(k) != 0 for s in series):
-            return SystemParams(p=k, q=q, E=e, T=sys.T)
+        if any(col[k] for col in columns):
+            sys._params = SystemParams(p=k, q=q, E=e, T=sys.T)
+            return sys._params
     raise AllComponentsZero(
         f"all components vanish to order {limit}; vanishing order undefined")
 
@@ -434,7 +426,8 @@ def augment_exp(sys: DiffSystem, beta: Rational | int) -> DiffSystem:
     T is kept unchanged (it is independent of beta); when den(beta) > 1 the
     new entry T*beta has rational coefficients, tracked by clear_factor.
     The growth certificate updates to C' = max(C, |beta|), D' = D*den(beta).
-    The Taylor coefficients come from sys's columns and from beta^k/k!.
+    The Taylor coefficients come from sys's integer columns and from
+    exp_numerators(beta, order).
     """
     return _ExpAugmented(sys, Fraction(beta))
 

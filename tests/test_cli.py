@@ -155,6 +155,23 @@ class TestScanCommand:
         summary = json.loads(out)
         assert summary["rows"] == 4 and summary["certified_rows"] == 4
 
+    @pytest.mark.parametrize("where", ["missing_directory", "directory"])
+    def test_unwritable_csv_exits_3(self, where, tmp_path):
+        # A child process, so that a crash shows its traceback on stderr.
+        target = tmp_path / "missing" / "x.csv" if where != "directory" \
+            else tmp_path
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "efcert.cli", "scan", "bessel_j0",
+             "--xi", "1/2", "--bmax", "2", "--window", "1/2",
+             "--csv", str(target)],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 3
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith(f"error: cannot write {target}")
+        assert proc.stdout == ""
+
     def test_jobs_deterministic(self, capsys):
         code1, out1, _ = run_cli(capsys, "scan", "bessel_j0", "--xi", "1",
                                  "--bmax", "2", "--window", "1",

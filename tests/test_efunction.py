@@ -14,7 +14,7 @@ from efcert.efunction import (DiffSystem, GrowthCertificate, _solve_recurrence,
 from efcert.errors import (AllComponentsZero, InconsistentSeeds, InputError,
                            UnderdeterminedSeeds)
 
-from conftest import build_exp_pair
+from conftest import build_exp_pair, build_j0, build_kummer
 
 
 def ref_augment(sys, beta):
@@ -79,6 +79,48 @@ class TestCoefficients:
         assert sys.coefficients(1)[1].coefficient(0) == F(2, 3)
 
 
+class TestCoefficientStore:
+    """One integer store per system, solved into by doubling; coefficients
+    is a Fraction view of it.  Fresh systems, so the requests below are the
+    first each store sees after its seed probe."""
+
+    @pytest.mark.parametrize("name", ["bessel", "kummer", "exp_pair",
+                                      "bessel_two_thirds"])
+    def test_against_the_recurrence(self, name):
+        sys = {"bessel": build_j0, "kummer": build_kummer,
+               "exp_pair": build_exp_pair,
+               "bessel_two_thirds": lambda: rescale(build_j0(), F(2, 3))}[name]()
+        for order in (17, 0, 5, 40, 23, 90):
+            ref = [tuple(col) for col in zip(*_solve_recurrence(sys, order))]
+            assert [s.coeffs for s in sys.coefficients(order)] == ref
+            d, columns = sys.integer_coefficients(order)
+            assert [tuple(F(c, d) for c in col) for col in columns] == ref
+            assert d == math.lcm(*(c.denominator for col in ref for c in col))
+
+    def test_solve_points_double(self, monkeypatch):
+        # the seed probe solves to 4; a miss then solves to at least twice
+        # the levels known, whichever view asks
+        solved = []
+
+        def recording(sys, nmax):
+            solved.append(nmax)
+            return _solve_recurrence(sys, nmax)
+
+        monkeypatch.setattr(efunction, "_solve_recurrence", recording)
+        j0 = build_j0()
+        for order in (5, 6, 7, 13, 30, 0, 31, 47, 100):
+            j0.integer_coefficients(order)
+            j0.coefficients(order)
+        assert solved == [4, 10, 22, 46, 94, 190]
+        solved.clear()
+        aug = augment_exp(build_kummer(), F(3, 2))
+        for order in (17, 0, 5, 40, 23, 90):
+            aug.coefficients(order)
+            aug.integer_coefficients(order + 1)
+        extract_params(aug)
+        assert solved == [4, 17, 36, 74, 150]
+
+
 class TestExtractParams:
     def test_bessel(self, j0):
         p = extract_params(j0)
@@ -97,6 +139,43 @@ class TestExtractParams:
         sys = make_system(((RatFunc.constant(1),),), ((F(0),),))
         with pytest.raises(AllComponentsZero):
             extract_params(sys)
+
+    def test_computed_once_per_system(self, monkeypatch):
+        sys = build_kummer()
+        calls = []
+        store = sys.integer_coefficients
+
+        def counting(order):
+            calls.append(order)
+            return store(order)
+
+        monkeypatch.setattr(sys, "integer_coefficients", counting)
+        first = extract_params(sys)
+        assert all(extract_params(sys) is first for _ in range(3))
+        assert calls == [4 * (1 + 1) * 2 + 16]
+
+    def test_all_zero_raises_on_every_call(self, monkeypatch):
+        sys = make_system(((RatFunc.constant(1),),), ((F(0),),))
+        calls = []
+        store = sys.integer_coefficients
+        monkeypatch.setattr(sys, "integer_coefficients",
+                            lambda order: calls.append(order) or store(order))
+        for _ in range(3):
+            with pytest.raises(AllComponentsZero):
+                extract_params(sys)
+        assert len(calls) == 3
+
+    def test_augmented_vanishing_order(self, kummer):
+        # z e^z vanishes to order 1 at 0; every augmented system has p = 0
+        # (exp(beta z) starts at 1) and the base's q
+        z = Poly.x()
+        z_exp = make_system(((RatFunc(Poly((1, 1)), z),),), ((F(0), F(1)),))
+        assert extract_params(z_exp).p == 1
+        for base in (z_exp, kummer, rescale(build_j0(), F(2, 3))):
+            q = extract_params(base).q
+            for beta in (F(0), F(2), F(-5, 3), F(7, 2)):
+                p = extract_params(augment_exp(base, beta))
+                assert (p.p, p.q) == (0, q)
 
 
 class TestAugmentExp:

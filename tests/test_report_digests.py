@@ -38,6 +38,8 @@ CASES = (
        "bound bessel_j0 --xi 3/7 --target 29134,132813",
        "logbound bessel_j0 --xi 1 --approx -1/4",
        "logbound kummer_1_3_1_2 --xi 1/2 --approx 1/3",
+       "logbound kummer_1_3_1_2 --xi 1 --approx 7/3",
+       "logbound bessel_j0 --xi 2/3 --approx -2/9",
        "scan bessel_j0 --xi 1/2 --bmax 4 --window 1/2",
        "scan kummer_1_3_1_2 --xi 1/2 --bmax 4 --window 1/2"]
 )

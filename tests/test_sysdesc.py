@@ -5,6 +5,7 @@ import logging
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from efcert.algebra import Poly, RatFunc
 from efcert.efunction import catalog, extract_params
@@ -84,6 +85,49 @@ class TestSystemFiles:
         sys2 = system_from_dict(json.loads(text))
         assert sys1 == sys2
         assert emit_system(sys2) == text          # byte-stable reserialization
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(st.data())
+    def test_generated_round_trip(self, data):
+        # Polynomial entries of A and one seed per component, so the seed
+        # probe accepts every generated system.
+        m = data.draw(st.integers(1, 3))
+        fracs = st.builds(F, st.integers(-20, 20), st.integers(1, 9))
+        entries = [[data.draw(st.lists(fracs, max_size=3)) for _ in range(m)]
+                   for _ in range(m)]
+        seeds = [data.draw(fracs) for _ in range(m)]
+        doc = {"m": m,
+               "A": [[" + ".join([f"({c})*z^{k}" for k, c in enumerate(e)]
+                                 or ["0"]) for e in row] for row in entries],
+               "seeds": [[str(c)] for c in seeds]}
+        if data.draw(st.booleans()):
+            t = data.draw(st.lists(st.integers(-3, 3), min_size=1, max_size=3)
+                          .filter(any))
+            doc["T"] = " + ".join(f"({c})*z^{k}" for k, c in enumerate(t))
+        if data.draw(st.booleans()):
+            doc["labels"] = data.draw(st.lists(
+                st.text("abJ0'()*_", max_size=6), min_size=m, max_size=m))
+        if data.draw(st.booleans()):
+            at_least_one = st.builds(lambda x: 1 + abs(x), fracs)
+            doc["growth"] = {"C": str(data.draw(at_least_one)),
+                             "D": str(data.draw(at_least_one)),
+                             "provenance": data.draw(st.sampled_from(
+                                 ["catalog", "user-supplied"]))}
+        if data.draw(st.booleans()):
+            doc["exponent_bound"] = data.draw(st.dictionaries(
+                st.sampled_from(["global", "infinity", "0", "1/2", "-3"]),
+                st.builds(abs, fracs).map(str), min_size=1))
+
+        sys1 = system_from_dict(json.loads(json.dumps(doc)))
+        assert sys1.A == tuple(tuple(RatFunc(Poly(e)) for e in row)
+                               for row in entries)
+        assert sys1.seeds == tuple((c,) for c in seeds)
+        text = emit_system(sys1)
+        sys2 = system_from_dict(json.loads(text))
+        for field in ("m", "A", "T", "TA", "seeds", "labels", "growth",
+                      "exponent_bound", "clear_factor"):
+            assert getattr(sys2, field) == getattr(sys1, field), field
+        assert emit_system(sys2) == text
 
     def test_shipped_bessel_matches_catalog(self):
         shipped = parse_system(catalog_file("bessel_j0"))
