@@ -204,28 +204,27 @@ def _load(arg: str) -> tuple[DiffSystem, str]:
 
 
 def _system_parameters(system: DiffSystem, *, need_n0: bool = False
-                       ) -> tuple[dict, zeroestimate.ExponentData | None]:
+                       ) -> dict:
     """The effectivity parameters and n0 bound shared by ``params`` and
-    ``bound``; exponent data and n0 are None when a point lacks an exponent
-    bound, unless need_n0 asks for the MissingExponentBound error."""
+    ``bound``; the exponent ceiling and n0 are None when a point lacks an
+    exponent bound, unless need_n0 asks for the MissingExponentBound
+    error."""
     params = extract_params(system)
     try:
-        data = zeroestimate.exponent_data(system)
-        ceiling = data.ceiling
-        n0 = zeroestimate.n0_bound(system.m, params.q, ceiling).value
+        n0 = zeroestimate.n0_for_system(system)
     except MissingExponentBound:
         if need_n0:
             raise
-        data = ceiling = n0 = None
+        n0 = None
     return {
         "m": system.m,
         "p": params.p,
         "q": params.q,
         "E": frac_str(params.E),
         "T": poly_str(params.T),
-        "exponent_ceiling": ceiling,
-        "n0_bound": n0,
-    }, data
+        "exponent_ceiling": None if n0 is None else n0.exponent_ceiling,
+        "n0_bound": None if n0 is None else n0.value,
+    }
 
 
 def _log_config(args) -> logmeasure.LogConfig:
@@ -237,7 +236,11 @@ def _log_config(args) -> logmeasure.LogConfig:
 
 def cmd_params(args) -> int:
     system, name = _load(args.system)
-    block, data = _system_parameters(system)
+    block = _system_parameters(system)
+    try:
+        data = zeroestimate.exponent_data(system)
+    except MissingExponentBound:
+        data = None
     doc = {
         "command": "params",
         "system": name,
@@ -285,7 +288,7 @@ def _parameter_block(system: DiffSystem, block: dict | None, n: int,
     """The report's parameter block at degree n, extending the
     _system_parameters block (computed here when None)."""
     if block is None:
-        block, _ = _system_parameters(system)
+        block = _system_parameters(system)
     eps1 = auxiliary.validate_eps1(system.m, eps1) if eps1 is not None \
         else auxiliary.default_eps1(system.m)
     ladder = forms.ladder_length(system.m, block["q"], block["p"], n, eps1)
@@ -305,7 +308,7 @@ def cmd_bound(args) -> int:
     block = None
     n_max = args.n_max
     if n_max is None:
-        block, _ = _system_parameters(system, need_n0=True)
+        block = _system_parameters(system, need_n0=True)
         n_max = forms.default_n_max(block["n0_bound"])
     doc = {"command": "bound", "system": name, "xi": frac_str(xi),
            "target": [frac_str(a) for a in target], "n_max": n_max}
@@ -371,6 +374,13 @@ def cmd_scan(args) -> int:
     system, name = _load(args.system)
     xi = parse_rational(args.xi)
     window = parse_rational(args.window)
+    if args.csv:
+        # before any row: append mode leaves the contents of an existing
+        # file as they were if the scan fails
+        try:
+            open(args.csv, "a", encoding="utf-8").close()
+        except OSError as exc:
+            raise InputError(f"cannot write {args.csv}: {exc}") from None
     rows = logmeasure.measure_scan(system, xi, args.bmax, window,
                                    _log_config(args))
     text = scan_rows_to_csv(rows)

@@ -114,6 +114,21 @@ def _geometric_tail(c: Fraction, x_abs: Fraction, n: int) -> Fraction | None:
     return head / (1 - t / (n + 2))
 
 
+def _tail_within(c: Fraction, x_abs: Fraction, n: int,
+                 width: Fraction) -> bool:
+    """Whether _geometric_tail(c, x_abs, n) is a bound and at most width/4,
+    decided on cross-multiplied integers: with t = c x_abs = tn/td and
+    gap = (n+2) td - tn > 0, that tail is c tn^(n+1) (n+2) over
+    den(c) td^n (n+1)! gap."""
+    tn = c.numerator * x_abs.numerator
+    td = c.denominator * x_abs.denominator
+    gap = (n + 2) * td - tn
+    return gap > 0 and (
+        4 * width.denominator * c.numerator * tn ** (n + 1) * (n + 2)
+        <= width.numerator * c.denominator * td ** n
+        * math.factorial(n + 1) * gap)
+
+
 def _taylor_enclosure(coefficients, c: Fraction, x: Fraction,
                       width: Fraction) -> RatInterval:
     """Interval of width <= width containing sum_k a_k x^k, where
@@ -121,19 +136,18 @@ def _taylor_enclosure(coefficients, c: Fraction, x: Fraction,
     over a common denominator D, and a_k = phi_k/k! with |phi_k| <= c^(k+1).
 
     The truncation order n grows until the tail majorant is valid and at
-    most width/4; the partial sum is exact (one integer Horner over
-    D den(x)^n).  At x = 0 the value a_0 is returned as a point.
+    most width/4 (_tail_within); only the n picked gets its Fraction tail.
+    The partial sum is exact (one integer Horner over D den(x)^n).  At
+    x = 0 the value a_0 is returned as a point.
     """
     if x == 0:
         d, nums = coefficients(0)
         return RatInterval.point(Fraction(nums[0], d))
     x_abs = abs(x)
     n = max(4, int(c * x_abs) + 2)
-    while True:
-        tail = _geometric_tail(c, x_abs, n)
-        if tail is not None and tail <= width / 4:
-            break
+    while not _tail_within(c, x_abs, n, width):
         n += max(4, n // 2)
+    tail = _geometric_tail(c, x_abs, n)
     d, nums = coefficients(n)
     acc = Fraction(horner(nums, x.numerator, x.denominator),
                    d * x.denominator ** n)

@@ -254,6 +254,11 @@ def log_lower_bound(sys: DiffSystem, xi: Rational, a: int, b: int,
 # Scanning rational approximations
 # ---------------------------------------------------------------------------
 
+# _exp_leq_value is exact at any start; most candidates of a scan lie far
+# from the window's edges and are decided at this precision.
+_MEMBERSHIP_START_BITS = 8
+
+
 def _exp_leq_value(r: Fraction, value_fn, bits_start: int,
                    bits_cap: int) -> bool:
     """Exact truth of e^r <= V, where value_fn(bits) returns certified
@@ -305,9 +310,11 @@ def measure_scan(sys: DiffSystem, xi: Rational, b_max: int,
             if math.gcd(abs(a), b) != 1:
                 continue
             r = Fraction(a, b)
-            inside = (_exp_leq_value(r - window, state.value, 64,
+            inside = (_exp_leq_value(r - window, state.value,
+                                     _MEMBERSHIP_START_BITS,
                                      config.max_precision_bits)
-                      and not _exp_leq_value(r + window, state.value, 64,
+                      and not _exp_leq_value(r + window, state.value,
+                                             _MEMBERSHIP_START_BITS,
                                              config.max_precision_bits))
             # e^(r+w) <= V means a/b + w <= ln V: strictly outside the window
             if inside:

@@ -327,6 +327,45 @@ class TestPoly:
         assert F(5, -10).denominator == 2
 
 
+small_fracs = st.builds(F, st.integers(-9, 9), st.integers(1, 5))
+polys = st.lists(small_fracs, max_size=4).map(Poly)
+nonzero_polys = polys.filter(lambda p: not p.is_zero())
+ratfuncs = st.builds(RatFunc, st.lists(small_fracs, max_size=3).map(Poly),
+                     st.lists(small_fracs, min_size=1, max_size=3)
+                     .map(Poly).filter(lambda p: not p.is_zero()))
+
+
+class TestRingLaws:
+    """Poly and RatFunc are commutative rings with the usual identities."""
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(polys, polys, polys)
+    def test_poly(self, a, b, c):
+        zero, one = Poly.zero(), Poly.one()
+        assert (a + b) + c == a + (b + c) and (a * b) * c == a * (b * c)
+        assert a + b == b + a and a * b == b * a
+        assert a * (b + c) == a * b + a * c
+        assert a + zero == a and a * one == a and (a * zero).is_zero()
+        assert (a - a).is_zero() and -(-a) == a and a - b == -(b - a)
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(ratfuncs, ratfuncs, ratfuncs)
+    def test_ratfunc(self, f, g, h):
+        zero, one = RatFunc.zero(), RatFunc.constant(1)
+        assert (f + g) + h == f + (g + h) and (f * g) * h == f * (g * h)
+        assert f + g == g + f and f * g == g * f
+        assert f * (g + h) == f * g + f * h
+        assert f + zero == f and f * one == f and (f * zero).is_zero()
+        assert (f - f).is_zero() and -(-f) == f
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(polys, nonzero_polys, polys)
+    def test_ratfunc_of_polys(self, p, q, r):
+        # p/q + r = (p + q r)/q, and a polynomial is its own quotient by 1
+        assert RatFunc(p, q) + RatFunc(r) == RatFunc(p + q * r, q)
+        assert RatFunc(r).is_polynomial() and RatFunc(r).to_poly() == r
+
+
 class TestRatFunc:
     def test_reduction(self):
         f = RatFunc(Poly([-1, 0, 1]), Poly([1, 1]))   # (z^2-1)/(z+1) = z-1

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from efcert import cli, zeroestimate
+from efcert import cli, logmeasure, zeroestimate
 from efcert.errors import InputError
 from efcert.sysdesc import catalog_file
 
@@ -171,6 +171,35 @@ class TestScanCommand:
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith(f"error: cannot write {target}")
         assert proc.stdout == ""
+
+    @pytest.mark.parametrize("where", ["missing_directory", "directory"])
+    def test_unwritable_csv_fails_before_any_row(self, where, capsys,
+                                                 tmp_path, monkeypatch):
+        def no_rows(*args, **kwargs):
+            raise AssertionError("a row was computed")
+
+        monkeypatch.setattr(logmeasure, "log_lower_bound", no_rows)
+        target = tmp_path / "missing" / "x.csv" if where != "directory" \
+            else tmp_path
+        code, out, err = run_cli(capsys, "scan", "bessel_j0", "--xi", "1",
+                                 "--bmax", "2", "--window", "1",
+                                 "--csv", str(target))
+        assert code == 3 and out == ""
+        assert err.startswith(f"error: cannot write {target}")
+
+    def test_failed_scan_leaves_the_csv_as_it_was(self, capsys, tmp_path,
+                                                  monkeypatch):
+        def failing_row(*args, **kwargs):
+            raise InputError("row failed")
+
+        monkeypatch.setattr(logmeasure, "log_lower_bound", failing_row)
+        target = tmp_path / "scan.csv"
+        target.write_text("old\n")
+        code, _, err = run_cli(capsys, "scan", "bessel_j0", "--xi", "1",
+                               "--bmax", "2", "--window", "1",
+                               "--csv", str(target))
+        assert code == 3 and err == "error: row failed\n"
+        assert target.read_text() == "old\n"
 
     def test_jobs_deterministic(self, capsys):
         code1, out1, _ = run_cli(capsys, "scan", "bessel_j0", "--xi", "1",

@@ -120,6 +120,25 @@ class TestCoefficientStore:
         extract_params(aug)
         assert solved == [4, 17, 36, 74, 150]
 
+    @pytest.mark.parametrize("k", [6, 9])
+    def test_indicial_root_past_the_seeds(self, k):
+        # y' = (k/z) y: the z^L coefficient reads (L - k) c_L = 0, so c_0 = 0
+        # is forced and c_k is free unless a seed pins it
+        a_mat = ((RatFunc(Poly.constant(k), Poly.x()),),)
+        sys = make_system(a_mat, ((F(0),),))
+        assert sys.integer_coefficients(4) == (1, [(0,) * 5])
+        with pytest.raises(UnderdeterminedSeeds) as exc:
+            sys.integer_coefficients(k)
+        assert str(exc.value) == (f"coefficient of z^{k} in component 1 is "
+                                  f"not pinned; supply more seed terms")
+        with pytest.raises(InconsistentSeeds) as exc:
+            make_system(a_mat, ((F(1),),))
+        assert str(exc.value) == ("recurrence at order 0, component 1 "
+                                  "(seeds violate the system)")
+        sys = make_system(a_mat, ((F(0),) * k + (F(5),),))
+        d, (col,) = sys.integer_coefficients(3 * k)
+        assert (d, col) == (1, (0,) * k + (5,) + (0,) * (2 * k))
+
 
 class TestExtractParams:
     def test_bessel(self, j0):

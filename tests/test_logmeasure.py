@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from efcert import forms, logmeasure
 from efcert.algebra import Poly, RatFunc
@@ -11,7 +13,7 @@ from efcert.efunction import (GrowthCertificate, augment_exp, make_system,
                               rescale)
 from efcert.errors import (DegenerateFit, InputError, MissingExponentBound,
                            NonPositiveValue)
-from efcert.evalcert import RatInterval, eval_component
+from efcert.evalcert import RatInterval, eval_component, eval_exp
 from efcert.logmeasure import (LogBoundResult, LogConfig, exponent_fit,
                                log_lower_bound, measure_scan)
 
@@ -147,6 +149,52 @@ def _quadratic():
     a = ((RatFunc(Poly([3, 2]), Poly([2, 3, 1])),),)
     return make_system(a, ((F(2),),), growth=GrowthCertificate(2, 1),
                        exponent_bound={"infinity": F(0)})
+
+
+class TestMembership:
+    """_exp_leq_value(r, V) decides e^r <= V exactly from any starting
+    precision; the scan starts it at 8 bits."""
+
+    START = logmeasure._MEMBERSHIP_START_BITS
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(st.fractions(min_value=-4, max_value=4, max_denominator=50),
+           st.integers(min_value=-2 ** 6, max_value=2 ** 6).filter(bool),
+           st.integers(min_value=6, max_value=40))
+    def test_against_the_exact_order_of_exponents(self, s, k, j):
+        # V = e^s, so e^r <= V iff r <= s: r runs within 2^-6 of ln V
+        r = s + F(k, 2 ** (j + 6))
+        bits = []
+
+        def value(b):
+            bits.append(b)
+            return eval_exp(s, F(1, 2 ** b))
+
+        assert logmeasure._exp_leq_value(r, value, self.START, 1024) \
+            == (r <= s)
+        assert bits[0] == self.START
+
+    @pytest.mark.parametrize("offset", [F(1, 64), F(1, 1000), F(1, 10 ** 9)])
+    @pytest.mark.parametrize("side", [-1, 1])
+    def test_against_a_decimal_logarithm(self, offset, side):
+        with localcontext() as ctx:
+            ctx.prec = 60
+            ln2 = Decimal(2).ln()
+        r = F(ln2) + side * offset
+        assert logmeasure._exp_leq_value(
+            r, lambda b: RatInterval.point(2), self.START, 1024) \
+            == (side < 0)
+
+    def test_undecidable_at_the_cap(self):
+        bits = []
+
+        def one(b):
+            bits.append(b)
+            return RatInterval.point(1)
+
+        with pytest.raises(InputError, match="cannot decide"):
+            logmeasure._exp_leq_value(F(0), one, self.START, 1024)
+        assert bits == [8, 16, 32, 64, 128, 256, 512, 1024]
 
 
 class TestSharedScanState:
