@@ -7,7 +7,7 @@ intervals with rational endpoints, integer determinants.  See README.md for
 the pipeline overview and the CLI.
 """
 
-from .algebra import (Poly, RatFunc, RatSeries, Rational, cofactor, den,
+from .algebra import (Poly, RatFunc, RatSeries, Rational, cofactor,
                       det_exact, kernel_basis)
 from .auxiliary import (AuxiliaryBasis, RemainderSeries, construct,
                         default_eps1, remainder, vanishing_order_target)
@@ -28,7 +28,7 @@ from .logmeasure import (LogBoundResult, LogConfig, exponent_fit,
                          log_lower_bound, measure_scan)
 from .sysdesc import emit_system, parse_system
 from .zeroestimate import (ExponentData, IndicialData, N0Bound,
-                           exponent_ceiling, exponent_data,
-                           indicial_exponents, n0_bound, n0_for_system)
+                           exponent_data, indicial_exponents, n0_bound,
+                           n0_for_system)
 
 __version__ = "0.1.0"

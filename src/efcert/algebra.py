@@ -32,11 +32,6 @@ from typing import Iterable, Sequence
 Rational = Fraction
 
 
-def den(r: Rational) -> int:
-    """Positive denominator of r in reduced form."""
-    return Fraction(r).denominator
-
-
 def prefix_numerators(values: Iterable[Fraction], lcm: int = 1
                       ) -> tuple[list[int], list[int], int]:
     """(numerators, steps, L) for the prefix lcms L_p of the denominators of
@@ -216,15 +211,6 @@ class Poly:
             power *= s
         return Poly(out)
 
-    def shift(self, a: Rational | int) -> "Poly":
-        """P(z + a) via Horner on polynomial coefficients."""
-        a = Fraction(a)
-        acc = Poly(())
-        za = Poly((a, 1))
-        for c in reversed(self.coeffs):
-            acc = acc * za + Poly.constant(c)
-        return acc
-
     # -- normal forms
 
     def content(self) -> Fraction:
@@ -364,30 +350,6 @@ class RatFunc:
         if d == 0:
             raise ZeroDivisionError(f"pole at {x}")
         return self.num(x) / d
-
-    def pole_order_at(self, a: Rational | int) -> int:
-        """Order of the pole at z=a (0 if regular there)."""
-        if self.is_zero():
-            return 0
-        za = Poly((-Fraction(a), 1))
-        order = 0
-        d = self.denom
-        while True:
-            q, r = d.divmod(za)
-            if not r.is_zero():
-                break
-            order += 1
-            d = q
-        if order == 0:
-            return 0
-        n = self.num
-        while order > 0:
-            q, r = n.divmod(za)
-            if not r.is_zero():
-                break
-            order -= 1
-            n = q
-        return order
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, RatFunc)

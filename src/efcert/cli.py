@@ -203,19 +203,11 @@ def _load(arg: str) -> tuple[DiffSystem, str]:
     return parse_system(path), path.name
 
 
-def _system_parameters(system: DiffSystem, *, need_n0: bool = False
-                       ) -> dict:
+def _system_parameters(system: DiffSystem,
+                       n0: zeroestimate.N0Bound | None) -> dict:
     """The effectivity parameters and n0 bound shared by ``params`` and
-    ``bound``; the exponent ceiling and n0 are None when a point lacks an
-    exponent bound, unless need_n0 asks for the MissingExponentBound
-    error."""
+    ``bound``; the exponent ceiling and n0 are None when n0 is."""
     params = extract_params(system)
-    try:
-        n0 = zeroestimate.n0_for_system(system)
-    except MissingExponentBound:
-        if need_n0:
-            raise
-        n0 = None
     return {
         "m": system.m,
         "p": params.p,
@@ -227,31 +219,33 @@ def _system_parameters(system: DiffSystem, *, need_n0: bool = False
     }
 
 
+def _n0_if_bounded(system: DiffSystem) -> zeroestimate.N0Bound | None:
+    """n0_for_system, or None when a point lacks an exponent bound."""
+    try:
+        return zeroestimate.n0_for_system(system)
+    except MissingExponentBound:
+        return None
+
+
 def _log_config(args) -> logmeasure.LogConfig:
     return logmeasure.LogConfig(precision_bits=args.precision,
-                                max_precision_bits=max(1024,
-                                                       4 * args.precision),
                                 n_max=args.n_max)
 
 
 def cmd_params(args) -> int:
     system, name = _load(args.system)
-    block = _system_parameters(system)
-    try:
-        data = zeroestimate.exponent_data(system)
-    except MissingExponentBound:
-        data = None
+    n0 = _n0_if_bounded(system)
     doc = {
         "command": "params",
         "system": name,
-        **block,
+        **_system_parameters(system, n0),
         "eps1_default": frac_str(auxiliary.default_eps1(system.m)),
         "growth": None if system.growth is None else {
             "C": frac_str(system.growth.C), "D": frac_str(system.growth.D),
             "provenance": system.growth.provenance},
-        "exponent_points": None if data is None else [
+        "exponent_points": None if n0 is None else [
             {"point": e.point, "kind": e.kind, "modulus": frac_str(e.modulus)}
-            for e in data.entries],
+            for e in n0.points],
     }
     emit_report(doc)
     return EXIT_OK
@@ -288,7 +282,7 @@ def _parameter_block(system: DiffSystem, block: dict | None, n: int,
     """The report's parameter block at degree n, extending the
     _system_parameters block (computed here when None)."""
     if block is None:
-        block = _system_parameters(system)
+        block = _system_parameters(system, _n0_if_bounded(system))
     eps1 = auxiliary.validate_eps1(system.m, eps1) if eps1 is not None \
         else auxiliary.default_eps1(system.m)
     ladder = forms.ladder_length(system.m, block["q"], block["p"], n, eps1)
@@ -308,7 +302,7 @@ def cmd_bound(args) -> int:
     block = None
     n_max = args.n_max
     if n_max is None:
-        block = _system_parameters(system, need_n0=True)
+        block = _system_parameters(system, zeroestimate.n0_for_system(system))
         n_max = forms.default_n_max(block["n0_bound"])
     doc = {"command": "bound", "system": name, "xi": frac_str(xi),
            "target": [frac_str(a) for a in target], "n_max": n_max}

@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .algebra import (Poly, RatFunc, RatSeries, Rational, common_numerators,
-                      den, exp_numerators, prefix_numerators)
+                      exp_numerators, prefix_numerators)
 from .errors import (AllComponentsZero, InconsistentSeeds, InputError,
                      UnderdeterminedSeeds)
 from .evalcert import exp_upper_bound
@@ -201,7 +201,7 @@ class _ExpAugmented(DiffSystem):
         self.growth = None
         if base.growth is not None:
             self.growth = GrowthCertificate(max(base.growth.C, abs(beta)),
-                                            base.growth.D * den(beta),
+                                            base.growth.D * beta.denominator,
                                             base.growth.provenance)
         self.exponent_bound = (None if base.exponent_bound is None
                                else dict(base.exponent_bound))
@@ -452,7 +452,7 @@ def rescale(sys: DiffSystem, xi: Rational | int) -> DiffSystem:
     growth = None
     if sys.growth is not None:
         growth = GrowthCertificate(sys.growth.C * max(Fraction(1), abs(xi)),
-                                   sys.growth.D * den(xi),
+                                   sys.growth.D * xi.denominator,
                                    sys.growth.provenance)
     bound = None
     if sys.exponent_bound is not None:
@@ -498,7 +498,7 @@ def _check_empty(params):
 
 
 def _catalog_exp(beta: Fraction, _=None) -> tuple[DiffSystem, GrowthCertificate]:
-    growth = GrowthCertificate(max(Fraction(1), abs(beta)), den(beta),
+    growth = GrowthCertificate(max(Fraction(1), abs(beta)), beta.denominator,
                                "catalog")
     a = ((RatFunc.constant(beta),),)
     sys = make_system(a, ((Fraction(1),),), labels=(f"exp({beta}*z)",),

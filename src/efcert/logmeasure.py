@@ -40,17 +40,20 @@ class LogConfig:
     """Precision and degree limits of the pipeline; defaults match the CLI.
 
     Intervals start at width 2^-precision_bits and are refined by doubling
-    the bits up to max_precision_bits; the forms route tries n = 1..n_max
-    (4 n0 when None) at the default eps1.
+    the bits up to max_precision_bits = max(1024, 4 precision_bits); the
+    forms route tries n = 1..n_max (4 n0 when None) at the default eps1.
     """
 
     precision_bits: int = 256
-    max_precision_bits: int = 1024
     n_max: int | None = None
 
     def __post_init__(self):
         if self.precision_bits < 1:
             raise InputError("precision must be >= 1 bit")
+
+    @property
+    def max_precision_bits(self) -> int:
+        return max(1024, 4 * self.precision_bits)
 
 
 @dataclass(frozen=True)

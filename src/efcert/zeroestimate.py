@@ -8,18 +8,20 @@ bounded by
 
 where E_ceil is an integer upper bound for the maximal modulus of the
 (generalized) local exponents of the system at its finite singularities and
-at infinity.  This module computes exponents exactly where the system has a
-simple pole at a rational point (eigenvalues of the residue matrix, reported
-as rational roots of the characteristic polynomial plus a Cauchy modulus
-bound for any irrational remainder) and otherwise consumes user or catalog
-supplied modulus bounds: no Newton-polygon machinery is attempted at
-irregular points.
+at infinity.  Where A has at most a simple pole, the exponents are the
+eigenvalues of the residue matrix, reported as rational roots of its
+characteristic polynomial plus a Cauchy modulus bound for any irrational
+remainder.  Each entry's pole order and residue are read off its reduced
+numerator N and denominator D in closed form: at a rational a from the
+multiplicity of a in D and N(a), at infinity from deg N - deg D and the
+leading coefficients.  Worse poles consume user or catalog supplied modulus
+bounds: no Newton-polygon machinery is attempted at irregular points.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
@@ -39,6 +41,7 @@ class N0Bound:
     m: int
     q: int
     exponent_ceiling: int
+    points: tuple[PointExponents, ...] = ()   # set by n0_for_system
 
 
 def n0_bound(m: int, q: int, exponent_ceiling: int) -> N0Bound:
@@ -187,27 +190,37 @@ def _cauchy_bound(p: Poly) -> Fraction:
     return 1 + max(abs(c) / lead for c in p.coeffs[:-1])
 
 
-def _residue_analysis(point: str, entries: Sequence[Sequence[RatFunc]],
-                      local_var_shift: Fraction | None) -> IndicialData:
-    """Shared simple-pole analysis; entries are already expressed in a local
-    coordinate w with the point at w = shift (finite case) or w = 0 (infinity
-    case, pre-transformed)."""
-    at = Fraction(0) if local_var_shift is None else local_var_shift
-    orders = [[e.pole_order_at(at) for e in row] for row in entries]
-    worst = max(max(row) for row in orders)
-    if worst == 0:
-        return IndicialData(point=point, ordinary=True, exponents=(),
-                            residual_degree=0, residual_bound=None)
-    if worst > 1:
-        raise IrregularSingularPoint(
-            f"pole of order {worst} at {point}: supply an exponent bound")
-    shift_poly = Poly((-at, 1))
-    residue = [[entry.mul_poly(shift_poly)(at) for entry in row]
-               for row in entries]
-    roots, rest = _rational_roots(_char_poly(residue))
-    bound = _cauchy_bound(rest) if rest.degree >= 1 else None
-    return IndicialData(point=point, ordinary=False, exponents=tuple(roots),
-                        residual_degree=max(rest.degree, 0), residual_bound=bound)
+def _pole_residue(entry: RatFunc, point: Fraction | str
+                  ) -> tuple[int, Fraction]:
+    """(pole order, residue) of a reduced entry N/D of A at a rational point
+    or at infinity; the residue is that of a simple pole, and 0 otherwise.
+
+    At a rational a the order is the multiplicity of a in D, found by
+    repeated synthetic division by z - a (linear in deg D per unit of
+    multiplicity), and for D = (z - a) R the residue is N(a)/R(a).  At
+    infinity the system in w = 1/z has the matrix -w^-2 A(1/w): the order is
+    max(0, deg N - deg D + 2), and a simple pole has residue -lc(N)/lc(D).
+    """
+    num, denom = entry.num, entry.denom
+    if num.is_zero():
+        return 0, Fraction(0)
+    if point == INFINITY:
+        order = max(0, num.degree - denom.degree + 2)
+        if order != 1:
+            return order, Fraction(0)
+        return order, -num.leading() / denom.leading()
+    order, coeffs = 0, denom.coeffs
+    while True:
+        value, quotient = Fraction(0), []
+        for c in reversed(coeffs):
+            value = value * point + c
+            quotient.append(value)
+        if value:
+            break
+        order += 1
+        coeffs = quotient[-2::-1]
+    # value is what is left of D, at a: R(a) when the order is 1
+    return order, num(point) / value if order == 1 else Fraction(0)
 
 
 def indicial_exponents(sys: DiffSystem, point: Rational | str) -> IndicialData:
@@ -218,30 +231,21 @@ def indicial_exponents(sys: DiffSystem, point: Rational | str) -> IndicialData:
     IrregularSingularPoint, in which case the caller must supply a modulus
     bound.
     """
-    if isinstance(point, str) and point == INFINITY:
-        transformed = [[_at_infinity(entry) for entry in row]
-                       for row in sys.A]
-        return _residue_analysis(INFINITY, transformed, None)
-    at = Fraction(point)
-    return _residue_analysis(str(at), sys.A, at)
-
-
-def _at_infinity(entry: RatFunc) -> RatFunc:
-    """Rewrite F(z) dz-systems in the coordinate w = 1/z: the matrix becomes
-    -w^{-2} F(1/w)."""
-    num, denom = entry.num, entry.denom
-    dn, dd = max(num.degree, 0), max(denom.degree, 0)
-    rev_num = Poly(tuple(reversed(num.coeffs)))
-    rev_den = Poly(tuple(reversed(denom.coeffs)))
-    shift = dd - dn
-    w2 = Poly((0, 0, 1))
-    if shift >= 0:
-        new_num = -(rev_num * Poly((0,) * shift + (1,)))
-        new_den = rev_den * w2
-    else:
-        new_num = -rev_num
-        new_den = rev_den * w2 * Poly((0,) * (-shift) + (1,))
-    return RatFunc(new_num, new_den)
+    if point != INFINITY:
+        point = Fraction(point)
+    poles = [[_pole_residue(entry, point) for entry in row] for row in sys.A]
+    worst = max(order for row in poles for order, _ in row)
+    if worst == 0:
+        return IndicialData(point=str(point), ordinary=True, exponents=(),
+                            residual_degree=0, residual_bound=None)
+    if worst > 1:
+        raise IrregularSingularPoint(
+            f"pole of order {worst} at {point}: supply an exponent bound")
+    residue = [[res for _, res in row] for row in poles]
+    roots, rest = _rational_roots(_char_poly(residue))
+    bound = _cauchy_bound(rest) if rest.degree >= 1 else None
+    return IndicialData(point=str(point), ordinary=False, exponents=tuple(roots),
+                        residual_degree=max(rest.degree, 0), residual_bound=bound)
 
 
 # ---------------------------------------------------------------------------
@@ -324,10 +328,7 @@ def exponent_data(sys: DiffSystem) -> ExponentData:
     return ExponentData(entries=tuple(entries))
 
 
-def exponent_ceiling(sys: DiffSystem) -> int:
-    return exponent_data(sys).ceiling
-
-
 def n0_for_system(sys: DiffSystem) -> N0Bound:
-    params = extract_params(sys)
-    return n0_bound(sys.m, params.q, exponent_ceiling(sys))
+    q = extract_params(sys).q
+    data = exponent_data(sys)
+    return replace(n0_bound(sys.m, q, data.ceiling), points=data.entries)

@@ -1,18 +1,34 @@
 from __future__ import annotations
 
+import json
 import math
 import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from efcert import cli
 from efcert.algebra import Poly, RatFunc
 from efcert.efunction import augment_exp, catalog, make_system
-from efcert.errors import InputError, IrregularSingularPoint
-from efcert.zeroestimate import (_rational_roots, exponent_ceiling,
+from efcert.errors import (InputError, IrregularSingularPoint,
+                           MissingExponentBound)
+from efcert.sysdesc import system_from_dict
+from efcert.zeroestimate import (INFINITY, _pole_residue, _rational_roots,
                                  exponent_data, indicial_exponents, n0_bound,
                                  n0_for_system)
+
+# Simple poles at -3 and 1/2, a double pole at 2/3, holomorphic at 0.  By
+# hand: at -3 the residue matrix is diag(5/2, -1); at 1/2 it is [[0, 1],
+# [2, 0]], with characteristic polynomial x^2 - 2 and Cauchy bound 3; at
+# infinity (A ~ R/z, residue -R) it is [[-5/2, -1], [-2, 1]], with
+# characteristic polynomial x^2 + 3x/2 - 9/2 = (x + 3)(x - 3/2).
+FINITE_POLES = {
+    "m": 2,
+    "A": [["5/(2*z+6)", "2/(2*z-1)"],
+          ["4/(2*z-1)", "-1/(z+3)+1/(3*z-2)^2"]],
+    "seeds": [["1"], ["0"]],
+}
 
 
 # -- reference: the divisor enumeration that _rational_roots replaces
@@ -118,7 +134,7 @@ class TestIndicial:
 
     def test_exp_block(self):
         for beta in (2, 0, F(-5, 3)):
-            assert exponent_ceiling(catalog("exp", beta=beta)[0]) == 0
+            assert exponent_data(catalog("exp", beta=beta)[0]).ceiling == 0
 
 
 class TestExponentData:
@@ -134,9 +150,8 @@ class TestExponentData:
         a = ((RatFunc.zero(), RatFunc(Poly.one())),
              (RatFunc.constant(-1), RatFunc(-Poly.one(), z)))
         bare = make_system(a, ((F(1),), (F(0),)))   # no exponent_bound
-        from efcert.errors import MissingExponentBound
         with pytest.raises(MissingExponentBound):
-            exponent_ceiling(bare)
+            exponent_data(bare).ceiling
 
     def test_n0_for_bessel(self, j0):
         assert n0_for_system(j0).value == 112
@@ -148,6 +163,115 @@ class TestExponentData:
             beta = F(rng.randint(-30, 30), rng.randint(1, 7))
             values.add(n0_for_system(augment_exp(j0, beta)).value)
         assert values == {324}
+
+
+class TestFinitePoles:
+    def test_exponents_by_point(self):
+        sys = system_from_dict({**FINITE_POLES,
+                                "exponent_bound": {"2/3": "2"}})
+        points = {e.point: e for e in exponent_data(sys).entries}
+        assert list(points) == ["-3", "1/2", "2/3", INFINITY]
+        at_m3 = points["-3"]
+        assert at_m3.kind == "regular"
+        assert at_m3.data.exponents == (F(-1), F(5, 2))
+        assert at_m3.data.residual_degree == 0
+        at_half = points["1/2"]
+        assert at_half.kind == "regular"
+        assert at_half.data.exponents == ()
+        assert at_half.data.residual_degree == 2
+        assert at_half.data.residual_bound == 3
+        assert points["2/3"].kind == "irregular"
+        assert points["2/3"].user_bound == 2
+        assert points[INFINITY].data.exponents == (F(-3), F(3, 2))
+        assert [e.modulus for e in points.values()] == [F(5, 2), 3, 2, 3]
+        n0 = n0_for_system(sys)
+        assert (n0.q, n0.exponent_ceiling) == (4, 3)
+        assert n0.value == 2 * 5 * 2 ** 2 * (3 + 5 * 2 + 1) == 560
+        assert n0.points == exponent_data(sys).entries
+
+    def test_params_report(self, capsys, tmp_path):
+        path = tmp_path / "finite_poles.json"
+        for bound, points in ((None, None), ({"2/3": "2"}, [
+                ["-3", "regular", "5/2"], ["1/2", "regular", "3"],
+                ["2/3", "irregular", "2"], ["infinity", "regular", "3"]])):
+            path.write_text(json.dumps({**FINITE_POLES,
+                                        "exponent_bound": bound}))
+            assert cli.main(["params", str(path)]) == 0
+            doc = json.loads(capsys.readouterr().out)
+            assert (doc["m"], doc["p"], doc["q"]) == (2, 0, 4)
+            if points is None:
+                assert doc["exponent_points"] is None
+                assert doc["n0_bound"] is None
+                continue
+            assert [[e["point"], e["kind"], e["modulus"]]
+                    for e in doc["exponent_points"]] == points
+            assert (doc["exponent_ceiling"], doc["n0_bound"]) == (3, 560)
+
+    def test_double_pole_needs_bound(self):
+        sys = system_from_dict(FINITE_POLES)
+        with pytest.raises(IrregularSingularPoint):
+            indicial_exponents(sys, F(2, 3))
+        with pytest.raises(MissingExponentBound):
+            exponent_data(sys)
+
+
+def _entry(a, e, k, n0, q):
+    """(N, D) = ((z - a)^k N0, (z - a)^e Q), not reduced."""
+    za = Poly((-a, 1))
+    num, denom = Poly(n0), Poly(q)
+    for _ in range(k):
+        num = num * za
+    for _ in range(e):
+        denom = denom * za
+    return num, denom
+
+
+small = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+entries = st.tuples(small, st.integers(0, 3), st.integers(0, 2),
+                    st.lists(small, max_size=4),
+                    st.lists(small, min_size=1, max_size=4).filter(any))
+
+
+class TestPoleResidue:
+    def test_pole_order(self):
+        f = RatFunc(Poly([1]), Poly([0, 0, 1]))       # 1/z^2
+        assert _pole_residue(f, F(0))[0] == 2
+        assert _pole_residue(f, F(1)) == (0, 0)
+
+    def test_examples(self):
+        f = RatFunc(Poly([3]), Poly([-1, 2]))         # 3/(2z - 1)
+        assert _pole_residue(f, F(1, 2)) == (1, F(3, 2))
+        assert _pole_residue(f, INFINITY) == (1, F(-3, 2))
+        assert _pole_residue(RatFunc.constant(7), INFINITY) == (2, 0)
+        assert _pole_residue(RatFunc.zero(), F(0)) == (0, 0)
+        assert _pole_residue(RatFunc.zero(), INFINITY) == (0, 0)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(entries)
+    def test_at_the_point(self, data):
+        a, e, k, n0, q = data
+        num, denom = _entry(*data)
+        n0, q = Poly(n0), Poly(q)
+        assume(q(a) != 0 and (n0.is_zero() or n0(a) != 0))
+        order, residue = _pole_residue(RatFunc(num, denom), a)
+        if n0.is_zero() or e <= k:
+            assert (order, residue) == (0, 0)
+        else:
+            assert order == e - k
+            if order == 1:
+                assert residue == n0(a) / q(a)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(entries)
+    def test_at_infinity(self, data):
+        num, denom = _entry(*data)
+        order, residue = _pole_residue(RatFunc(num, denom), INFINITY)
+        if num.is_zero():
+            assert (order, residue) == (0, 0)
+            return
+        assert order == max(0, num.degree - denom.degree + 2)
+        if order == 1:
+            assert residue == -num.leading() / denom.leading()
 
 
 class TestRationalRoots:
