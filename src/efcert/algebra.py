@@ -12,12 +12,13 @@ common denominator from the system's one store of integer numerators
 ``Fraction`` view; a system with exp(beta z) adjoined puts its base's
 columns next to the closed form ``exp_numerators``.  ``auxiliary`` builds the
 vanishing matrix from those columns and forms the remainder from them by
-integer dot products, ``forms`` builds, checks and evaluates the ladder on
-integer rows, and ``evalcert`` sums each Taylor enclosure with one integer
+integer multiply-adds (one pass over a column slice per nonzero polynomial
+coefficient), ``forms`` builds, checks and evaluates the ladder on integer
+rows, and ``evalcert`` sums each Taylor enclosure with one integer
 ``horner``.  The linear algebra runs on integers: each row's denominators are
-cleared once (integer rows, such as the vanishing matrix, need no clearing),
-and a single fraction-free Gauss-Jordan elimination serves both the kernel
-and the rank, while determinants use Bareiss elimination.  It is
+cleared once (integer rows, such as the vanishing matrix, are only made
+primitive), and a single fraction-free Gauss-Jordan elimination serves both
+the kernel and the rank, while determinants use Bareiss elimination.  It is
 deliberately small and deterministic: first-nonzero pivoting in row-major
 order, kernel vectors scaled to primitive integer vectors with a positive
 leading entry, so repeated runs produce identical output.
@@ -471,8 +472,9 @@ def _reduce_rows(matrix: Sequence[Sequence[Rational | int]]
     """Reduced row echelon form over the integers: the nonzero rows, each a
     primitive integer multiple of its RREF row, and their pivot columns.
 
-    Denominators are cleared row by row through each entry's numerator and
-    denominator, so integer rows pass unconverted.  Gauss-Jordan elimination
+    Integer rows are made primitive as they are; the denominators of a row
+    with Fraction entries are cleared first, through each entry's numerator
+    and denominator (math.gcd refuses a Fraction).  Gauss-Jordan elimination
     with first-nonzero pivoting replaces row_i by p row_i - f row_r (p the pivot,
     f the entry of row_i in the pivot column) and divides out the content,
     so rows stay integral and small (fraction-free elimination after
@@ -480,9 +482,12 @@ def _reduce_rows(matrix: Sequence[Sequence[Rational | int]]
     """
     rows = []
     for row in matrix:
-        d = math.lcm(*(e.denominator for e in row))
-        rows.append(_primitive([e.numerator * (d // e.denominator)
-                                for e in row]))
+        try:
+            rows.append(_primitive(list(row)))
+        except TypeError:
+            d = math.lcm(*(e.denominator for e in row))
+            rows.append(_primitive([e.numerator * (d // e.denominator)
+                                    for e in row]))
     width = len(rows[0]) if rows else 0
     if any(len(r) != width for r in rows):
         raise ValueError("matrix rows have unequal lengths")

@@ -87,15 +87,22 @@ def _combination(polys: Sequence[Sequence[int]],
                  columns: Sequence[Sequence[int]], start: int, stop: int
                  ) -> list[int]:
     """Coefficients start..stop-1 of sum_i P_i F_i for integer coefficient
-    lists P_i and integer series F_i, each F_i known to order stop-1."""
-    out = []
-    for k in range(start, stop):
-        acc = 0
-        for p, col in zip(polys, columns):
-            lo = max(0, k + 1 - len(p))
-            # p[k - lo], p[k - lo - 1], ... against col[lo], col[lo + 1], ...
-            acc += sum(map(operator.mul, p[k - lo::-1], col[lo:k + 1]))
-        out.append(acc)
+    lists P_i and integer series F_i, each F_i known to order stop-1.
+
+    Each nonzero coefficient c = P_i[j] adds c F_i shifted by j into the
+    window in one multiply-add pass over slices, so the cost follows the
+    nonzero coefficients of the P_i, not the window length.
+    """
+    out = [0] * (stop - start)
+    for p, col in zip(polys, columns):
+        if len(col) < stop:
+            raise ValueError(f"a column holds {len(col)} coefficients, "
+                             f"fewer than {stop}")
+        for j, c in enumerate(p[:stop]):
+            if c:
+                lo = max(start, j)
+                out[lo - start:] = map(operator.add, out[lo - start:],
+                                       map(c.__mul__, col[lo - j:stop - j]))
     return out
 
 

@@ -208,20 +208,27 @@ class _ExpAugmented(DiffSystem):
         self.clear_factor = math.lcm(base.clear_factor,
                                      *(c.denominator for c in beta_t.coeffs))
         self._params = None
+        self._columns: dict[int, tuple[int, list[tuple[int, ...]]]] = {}
         self._probe_seeds()
 
     def integer_coefficients(self, order: int
                              ) -> tuple[int, list[tuple[int, ...]]]:
         """The base's integer columns next to exp_numerators(beta, order),
-        both brought to the lcm of their denominators."""
-        d_base, columns = self._base.integer_coefficients(order)
-        d_exp, exp = exp_numerators(self._beta, order)
-        d = math.lcm(d_base, d_exp)
-        if d != d_base:
-            scale = d // d_base
-            columns = [tuple(c * scale for c in col) for col in columns]
-        scale = d // d_exp
-        return d, columns + [tuple(e * scale for e in exp)]
+        both brought to the lcm of their denominators.  They are built once
+        per order and kept with this system (a scan row's, dropped with
+        the row); each call returns a fresh list of the kept tuples."""
+        if order not in self._columns:
+            d_base, columns = self._base.integer_coefficients(order)
+            d_exp, exp = exp_numerators(self._beta, order)
+            d = math.lcm(d_base, d_exp)
+            if d != d_base:
+                scale = d // d_base
+                columns = [tuple([c * scale for c in col]) for col in columns]
+            scale = d // d_exp
+            self._columns[order] = (d, columns
+                                    + [tuple([e * scale for e in exp])])
+        d, columns = self._columns[order]
+        return d, list(columns)
 
 
 def _solve_recurrence(sys: DiffSystem, nmax: int) -> list[tuple[Fraction, ...]]:

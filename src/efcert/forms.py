@@ -23,9 +23,9 @@ pushing the remainder's factorial tail through the operator T d/dz.
 
 from __future__ import annotations
 
-import itertools
 import logging
 import math
+import operator
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Sequence
@@ -85,14 +85,22 @@ def _derivative(p: Sequence[int]) -> list[int]:
     return [j * c for j, c in enumerate(p)][1:]
 
 
-def _mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
+def _mul_into(out: list[int], a: Sequence[int], b: Sequence[int]
+              ) -> list[int]:
+    """Add the product of the integer coefficient lists a and b into out,
+    extending out with zeros to the product's length: one multiply-add pass
+    over the operand with more nonzero coefficients per nonzero coefficient
+    of the other."""
     if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
+        return out
+    if len(a) - a.count(0) > len(b) - b.count(0):
+        a, b = b, a
+    width = len(b)
+    out += [0] * (len(a) + width - 1 - len(out))
     for i, x in enumerate(a):
         if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
+            out[i:i + width] = map(operator.add, out[i:i + width],
+                                   map(x.__mul__, b))
     return out
 
 
@@ -103,9 +111,9 @@ def _next_row(row: Sequence[Sequence[int]], lam_t: Sequence[int],
     the integer rows S_k = lambda^k P_k."""
     out = []
     for j in range(len(row)):
-        terms = [_mul(lam_t, _derivative(row[j]))]
-        terms += [_mul(p, lam_ta[i][j]) for i, p in enumerate(row)]
-        acc = [sum(cs) for cs in itertools.zip_longest(*terms, fillvalue=0)]
+        acc = _mul_into([], lam_t, _derivative(row[j]))
+        for i, p in enumerate(row):
+            _mul_into(acc, p, lam_ta[i][j])
         while acc and not acc[-1]:
             acc.pop()
         out.append(tuple(acc))
@@ -296,7 +304,7 @@ def _scaled_form_upper_bounds(rem: RemainderSeries, ladder_rows: list[int],
     power = 0
     for k in ladder_rows:
         for _ in range(k - power):
-            poly = _mul(t, _derivative(poly))
+            poly = _mul_into([], t, _derivative(poly))
         power = k
         tail_part = _operator_tail_sum(rem, k, xi, t_poly)
         value = (Fraction(abs(horner(poly, a, d)), e * d ** (len(poly) - 1))

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from efcert import auxiliary, forms
 from efcert.algebra import Poly
@@ -25,6 +27,42 @@ def ref_remainder_coefficient(polys, series, k):
             if b and j <= k:
                 acc += b * s.coefficient(k - j)
     return acc
+
+
+def ref_combination(polys, columns, start, stop):
+    """The integer combination as it was before the multiply-add form:
+    a slice-and-sum dot product per output coefficient."""
+    out = []
+    for k in range(start, stop):
+        acc = 0
+        for p, col in zip(polys, columns):
+            lo = max(0, k + 1 - len(p))
+            # p[k - lo], p[k - lo - 1], ... against col[lo], col[lo + 1], ...
+            acc += sum(map(operator.mul, p[k - lo::-1], col[lo:k + 1]))
+        out.append(acc)
+    return out
+
+
+# zeros, small integers and negative or positive integers of several limbs
+int_coeffs = st.one_of(st.just(0), st.integers(-9, 9),
+                       st.integers(-2 ** 200, 2 ** 200))
+
+
+@st.composite
+def combination_cases(draw):
+    """(polys, columns, start, stop): empty windows and one-coefficient
+    windows, empty, all-zero and over-long polynomials, and columns holding
+    stop or a few more coefficients."""
+    stop = draw(st.integers(0, 14))
+    start = draw(st.integers(0, stop))
+    count = draw(st.integers(0, 3))
+    polys = [tuple(draw(st.one_of(
+        st.lists(int_coeffs, max_size=stop + 4),
+        st.lists(st.just(0), max_size=4)))) for _ in range(count)]
+    columns = [tuple(draw(st.lists(int_coeffs, min_size=stop,
+                                   max_size=stop + 3)))
+               for _ in range(count)]
+    return polys, columns, start, stop
 
 
 class TestVanishingTarget:
@@ -85,6 +123,34 @@ class TestConstruct:
         a = construct(j0, 5)
         b = construct(j0, 5)
         assert a == b
+
+
+class TestCombination:
+    """auxiliary._combination against the dot-product form it replaced."""
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(combination_cases())
+    def test_matches_reference(self, case):
+        polys, columns, start, stop = case
+        assert auxiliary._combination(polys, columns, start, stop) \
+            == ref_combination(polys, columns, start, stop)
+
+    def test_windows(self):
+        p = [(0, -3, 0, 2 ** 70)]
+        col = [tuple(range(-5, 5))]
+        for start, stop in ((0, 10), (4, 10), (6, 7), (9, 9), (0, 0)):
+            assert auxiliary._combination(p, col, start, stop) \
+                == ref_combination(p, col, start, stop)
+        assert auxiliary._combination([()], col, 2, 6) == [0] * 4
+
+    def test_short_column_rejected(self):
+        p = [(1, 2), (3,)]
+        assert auxiliary._combination(p, [(1, 1, 1), (1, 1, 1)], 0, 3) \
+            == [4, 6, 6]
+        with pytest.raises(ValueError):
+            auxiliary._combination(p, [(1, 1, 1), (1, 1)], 0, 3)
+        with pytest.raises(ValueError):
+            auxiliary._combination(p, [(1, 1), (1, 1, 1)], 2, 3)
 
 
 class TestRemainder:

@@ -289,6 +289,27 @@ class TestAugmentExp:
                 assert columns == [tuple(c * d for c in s.coeffs)
                                    for s in series]
 
+    def test_columns_built_once_per_order(self, j0, monkeypatch):
+        calls = []
+        closed_form = efunction.exp_numerators
+
+        def counting(beta, order):
+            calls.append(order)
+            return closed_form(beta, order)
+
+        monkeypatch.setattr(efunction, "exp_numerators", counting)
+        aug = augment_exp(j0, F(-3, 7))
+        calls.clear()                       # the seed probe's order
+        d, first = aug.integer_coefficients(30)
+        expected = (d, list(first))
+        first[2] = ()                       # alters the caller's list only
+        assert aug.integer_coefficients(30) == expected
+        assert aug.integer_coefficients(12)[0] != d
+        assert aug.integer_coefficients(30) == expected
+        assert calls == [30, 12]
+        assert all(type(col) is tuple for col in expected[1])
+        assert augment_exp(j0, F(-3, 7)).integer_coefficients(30) == expected
+
     def test_q_unchanged_when_T_nonconstant(self, j0, kummer):
         for sys in (j0, kummer):
             q0 = extract_params(sys).q

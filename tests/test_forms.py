@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from fractions import Fraction as F
@@ -46,6 +47,39 @@ def ref_combination(polys, series, start, stop):
                  for j, b in enumerate(p.coeffs[:k + 1])
                  if b and s.coeffs[k - j]), F(0))
             for k in range(start, stop)]
+
+
+def ref_mul(a, b):
+    """The integer polynomial product before the multiply-add form."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def ref_next_row(row, lam_t, lam_ta):
+    """The integer ladder step before the multiply-add form: every term a
+    list of its own, summed by zip_longest."""
+    out = []
+    for j in range(len(row)):
+        terms = [ref_mul(lam_t, forms._derivative(row[j]))]
+        terms += [ref_mul(p, lam_ta[i][j]) for i, p in enumerate(row)]
+        acc = [sum(cs) for cs in itertools.zip_longest(*terms, fillvalue=0)]
+        while acc and not acc[-1]:
+            acc.pop()
+        out.append(tuple(acc))
+    return tuple(out)
+
+
+# zeros, small integers and negative or positive integers of several limbs
+int_coeffs = st.one_of(st.just(0), st.integers(-9, 9),
+                       st.integers(-2 ** 200, 2 ** 200))
+int_polys = st.one_of(st.lists(int_coeffs, max_size=9).map(tuple),
+                      st.lists(st.just(0), max_size=3).map(tuple))
 
 
 def rationals(max_den):
@@ -166,6 +200,44 @@ class TestIntegerLadder:
         columns = [[int(c * d) for c in col] for col in cols]
         got = [F(v, lam * d) for v in _combination(ints, columns, start, 9)]
         assert got == ref_combination(polys, series, start, 9)
+
+
+class TestIntegerProducts:
+    """forms._mul_into and forms._next_row against the forms they
+    replaced."""
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(int_polys, int_polys, st.lists(int_coeffs, max_size=12))
+    def test_mul_into_matches_reference(self, a, b, out):
+        # into an empty list, the sparse operand on either side, and added
+        # into a list shorter or longer than the product
+        assert forms._mul_into([], a, b) == ref_mul(a, b)
+        assert forms._mul_into([], list(b), list(a)) == ref_mul(a, b)
+        prod = ref_mul(a, b)
+        width = max(len(out), len(prod))
+        expected = [x + y for x, y in zip(out + [0] * width,
+                                          prod + [0] * width)][:width]
+        acc = list(out)
+        assert forms._mul_into(acc, a, b) is acc and acc == expected
+
+    def test_mul_into_examples(self):
+        assert forms._mul_into([], (), (1, 2)) == []
+        assert forms._mul_into([7], (3,), ()) == [7]
+        assert forms._mul_into([], (0, 0), (5,)) == [0, 0]
+        # (1 - z)(1 + z + z^2) = 1 - z^3, the sparse operand on either side
+        assert forms._mul_into([], (1, -1), (1, 1, 1)) == [1, 0, 0, -1]
+        assert forms._mul_into([], (1, 1, 1), (1, -1)) == [1, 0, 0, -1]
+        assert forms._mul_into([1, 1], (1, -1), (1, 1, 1)) == [2, 1, 0, -1]
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(st.integers(1, 3).flatmap(lambda m: st.tuples(
+        st.lists(int_polys, min_size=m, max_size=m), int_polys,
+        st.lists(st.lists(int_polys, min_size=m, max_size=m),
+                 min_size=m, max_size=m))))
+    def test_next_row_matches_reference(self, case):
+        row, lam_t, lam_ta = case
+        assert forms._next_row(row, lam_t, lam_ta) \
+            == ref_next_row(row, lam_t, lam_ta)
 
 
 class TestEvaluateForms:

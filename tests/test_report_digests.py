@@ -36,6 +36,10 @@ CASES = (
     + ["bound exp_pair --xi 1 --target 3,-1",
        "bound kummer_1_3_1_2 --xi 1/2 --target 1,2",
        "bound bessel_j0 --xi 3/7 --target 29134,132813",
+       # two deep ops of the benchmark's bound_deep grid (n = 14 and n = 20)
+       "bound bessel_j0 --xi 1/2 --target 1957114438056792,7581229628729569",
+       "bound bessel_j0 --xi 1/2 --target "
+       "1485874387333457676604801,5755797775937679673467204",
        "logbound bessel_j0 --xi 1 --approx -1/4",
        "logbound kummer_1_3_1_2 --xi 1/2 --approx 1/3",
        "logbound kummer_1_3_1_2 --xi 1 --approx 7/3",
