@@ -10,15 +10,19 @@ result.  ``DiffSystem.integer_coefficients`` gives the Taylor columns over one
 common denominator from the system's one store of integer numerators
 (``prefix_numerators``), of which ``DiffSystem.coefficients`` is the
 ``Fraction`` view; a system with exp(beta z) adjoined puts its base's
-columns next to the closed form ``exp_numerators``.  ``auxiliary`` builds the
-vanishing matrix from those columns and forms the remainder from them by
-integer multiply-adds (one pass over a column slice per nonzero polynomial
-coefficient), ``forms`` builds, checks and evaluates the ladder on integer
-rows, and ``evalcert`` sums each Taylor enclosure with one integer
-``horner``.  The linear algebra runs on integers: each row's denominators are
-cleared once (integer rows, such as the vanishing matrix, are only made
-primitive), and a single fraction-free Gauss-Jordan elimination serves both
-the kernel and the rank, while determinants use Bareiss elimination.  It is
+columns next to the closed form ``exp_numerators``.  ``auxiliary`` finds the
+vanishing kernel from an order basis of those columns and forms the
+remainder from them by integer multiply-adds (one pass over a column slice
+per nonzero polynomial coefficient), ``forms`` builds, checks and evaluates
+the ladder on integer rows, and ``evalcert`` sums each Taylor enclosure with
+one integer ``horner``.  The linear algebra runs on integers: each row's
+denominators are cleared once (integer rows are only made primitive), and a
+single fraction-free Gauss-Jordan elimination serves both the kernel and the
+rank, while determinants use Bareiss elimination.  ``auxiliary`` also runs
+``kernel_basis`` twice to put its order-basis span into the canonical basis:
+once on the span read right to left, whose kernel gives the reduced row
+echelon rows of the vanishing matrix, and once on those rows, which need no
+row operations.  It is
 deliberately small and deterministic: first-nonzero pivoting in row-major
 order, kernel vectors scaled to primitive integer vectors with a positive
 leading entry, so repeated runs produce identical output.

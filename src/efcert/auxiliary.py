@@ -7,11 +7,15 @@ polynomials P_1..P_m of degree <= n, not all zero, such that
     tau = m(n+1) - floor(eps1 n) - 1,       0 < eps1 < 1/(2m-1).
 
 The vanishing conditions are tau exact linear equations in the m(n+1)
-coefficients, so a nontrivial kernel always exists; the kernel is computed
-exactly and the basis vector of least max-norm (ties broken lexicographically)
-is returned after primitive scaling.  The achieved order of vanishing is then
-computed, not assumed, by extending the series until a nonzero coefficient
-appears.
+coefficients, so a nontrivial kernel always exists.  The kernel is found as
+a Hermite-Pade problem: an order basis of the integer Taylor columns at
+order tau, whose multiples of degree <= n span it, costs O(m tau) integer
+row operations instead of a dense tau x m(n+1) elimination.  That span is
+then put back into the canonical basis of the dense route (primitive kernel
+vectors from the reduced row echelon form of the vanishing matrix), and the
+basis vector of least max-norm (ties broken lexicographically) is returned.
+The achieved order of vanishing is then computed, not assumed, by extending
+the series until a nonzero coefficient appears.
 
 The remainder R comes with a rigorous tail record: writing R = sum r_nu z^nu
 and using |phi_{k,i}| <= C^(k+1) from the growth certificate,
@@ -30,7 +34,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .algebra import Poly, Rational, kernel_basis
+from .algebra import Poly, Rational, _primitive, kernel_basis
 from .efunction import DiffSystem
 from .errors import InputError, MissingGrowthCertificate
 
@@ -132,10 +136,84 @@ def _remainder_upto(basis: AuxiliaryBasis, sys: DiffSystem, order: int
     return r[:order + 1]
 
 
+def _vanishing_span(columns: Sequence[Sequence[int]], n: int, tau: int
+                    ) -> list[list[int]]:
+    """A basis of the vectors P (P_i[nu] at index i(n+1) + nu, deg P_i <= n)
+    with ord_0(sum_i P_i F_i) >= tau, from an order basis of the columns.
+
+    M-Basis with a uniform shift (Beckermann & Labahn, SIAM J. Matrix Anal.
+    Appl. 15, 1994; Giorgi, Jeannerod & Villard, ISSAC 2003): start from the
+    m unit rows; at each order k < tau divide the residuals (the z^k
+    coefficients of b_l . F) by their gcd, take as pivot the row with a
+    nonzero residual and the least (degree, index), replace every other such
+    row b_l by r_pi b_l - r_l b_pi made primitive, and multiply the pivot by
+    z.  A row whose degree passes n can no longer contribute and is dropped.
+    The rows stay in weak Popov form, the top-degree part of b_l ending in
+    block l, with their degrees as counted, so by the predictable-degree
+    property the z^j b_l, j <= n - deg b_l, are a basis.
+
+    A row is kept interleaved, P_i[nu] at index nu m + i, so that one slice
+    of the reversed, interleaved columns holds every F_i[k - nu] a residual
+    needs, and multiplying by z shifts the row by m.
+    """
+    m, size = len(columns), len(columns) * (n + 1)
+    series = [0] * (m * (tau + n))   # series[(tau-1-k) m + i] = F_i[k], then 0
+    for i, col in enumerate(columns):
+        series[i:m * tau:m] = col[:tau][::-1]
+    rows = {}
+    for l in range(m):
+        rows[l] = [0] * size
+        rows[l][l] = 1
+    degs = [0] * m
+    for top in range((tau - 1) * m, -1, -m):        # top = (tau-1-k) m
+        window = series[top:top + size]
+        res = {}
+        for l, row in rows.items():
+            r = sum(map(operator.mul, row, window))
+            if r:
+                res[l] = r
+        if not res:
+            continue
+        g = math.gcd(*res.values())
+        pi = min(res, key=degs.__getitem__)   # least (degree, index)
+        bp, rp = rows[pi], res.pop(pi) // g
+        for l, r in res.items():
+            r //= g
+            rows[l] = _primitive([rp * a - r * b for a, b in zip(rows[l], bp)])
+        degs[pi] += 1
+        if degs[pi] > n:
+            del rows[pi]
+        else:      # the degree-n slots of bp are 0, so the shift drops zeros
+            rows[pi] = [0] * m + bp[:-m]
+    span = []
+    for l, row in rows.items():
+        for j in range(n - degs[l] + 1):
+            shifted = [0] * (j * m) + row[:size - j * m]
+            span.append([e for i in range(m) for e in shifted[i::m]])
+    return span
+
+
+def _canonical_kernel(span: list[list[int]], width: int
+                      ) -> list[tuple[int, ...]]:
+    """kernel_basis of the vanishing matrix, from a basis of its kernel.
+
+    The kernel of the span read right to left gives, read back, one row-space
+    vector per pivot of the matrix (pivots taken left to right), nonzero at
+    its pivot and zero at the others: a multiple of its reduced row echelon
+    row.  kernel_basis of those rows does no row operations and returns the
+    matrix's own kernel basis.  A zero matrix has every unit vector.
+    """
+    if not span:
+        return []
+    rref = [d[::-1] for d in reversed(kernel_basis([v[::-1] for v in span]))]
+    return kernel_basis(rref or [[0] * width])
+
+
 def construct(sys: DiffSystem, n: int, eps1: Rational | None = None
               ) -> AuxiliaryBasis:
-    """Solve the vanishing conditions exactly and pick the smallest kernel
-    vector (max-norm, then lexicographic) as the auxiliary basis."""
+    """Solve the vanishing conditions exactly through an order basis and
+    pick the smallest vector (max-norm, then lexicographic) of the canonical
+    kernel basis as the auxiliary basis."""
     if n < 1:
         raise InputError("construct requires n >= 1")
     m = sys.m
@@ -145,11 +223,7 @@ def construct(sys: DiffSystem, n: int, eps1: Rational | None = None
     tau = vanishing_order_target(m, n, eps1)
     limit = tau + m * (n + 1) + _ACHIEVED_SEARCH_SLACK
     d, ext = sys.integer_coefficients(limit)
-    # row k: the coefficient of z^k in R, times d (tau >= 1 for n >= 1)
-    matrix = [[ext[i][k - nu] if nu <= k else 0
-               for i in range(m) for nu in range(n + 1)]
-              for k in range(tau)]
-    kernel = kernel_basis(matrix)
+    kernel = _canonical_kernel(_vanishing_span(ext, n, tau), m * (n + 1))
     if not kernel:
         raise AssertionError(
             "vanishing system has full column rank; dimension count violated")

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import operator
 import random
 from fractions import Fraction as F
 
@@ -89,6 +90,14 @@ def ref_gcd(a, b):
     return a if a.is_zero() else a.monic()
 
 
+def vanishing_matrix(columns, n, tau):
+    """Row k holds the z^k coefficient of sum_i P_i F_i as a linear form in
+    the coefficients P_i[nu], at index i(n+1) + nu."""
+    m = len(columns)
+    return [[columns[i][k - nu] if nu <= k else 0
+             for i in range(m) for nu in range(n + 1)] for k in range(tau)]
+
+
 def random_matrix(rng):
     """A rows x cols rational matrix of rank at most k (a product of random
     rows x k and k x cols factors), sometimes with a zero row or column, and
@@ -159,21 +168,21 @@ class TestAgainstFractionReference:
 
     @pytest.mark.parametrize("name", ["bessel_j0", "kummer_1_3_1_2",
                                       "exp_pair"])
-    def test_vanishing_matrices(self, name, monkeypatch):
-        seen = []
-
-        def record(matrix):
-            seen.append(matrix)
-            return kernel_basis(matrix)
-
-        monkeypatch.setattr(auxiliary, "kernel_basis", record)
+    def test_vanishing_matrices(self, name):
+        """construct's polynomials are the least kernel vector (max-norm,
+        then lexicographic) of the dense vanishing matrix built from the
+        integer Taylor columns, and rank agrees with the reference."""
         system = parse_system(catalog_file(name))
+        m = system.m
         for n in range(1, 13):
-            auxiliary.construct(system, n)
-        assert len(seen) == 12
-        for matrix in seen:
-            assert kernel_basis(matrix) == ref_kernel(matrix)
-            assert rank(matrix) == ref_rank(matrix)
+            basis = auxiliary.construct(system, n)
+            _, columns = system.integer_coefficients(basis.tau)
+            matrix = vanishing_matrix(columns, n, basis.tau)
+            kernel = ref_kernel(matrix)
+            vec = min(kernel, key=lambda v: (max(abs(e) for e in v), v))
+            assert basis.polys == tuple(Poly(vec[i * (n + 1):(i + 1) * (n + 1)])
+                                        for i in range(m))
+            assert rank(matrix) == ref_rank(matrix) == m * (n + 1) - len(kernel)
 
     def test_rank_examples(self):
         assert rank([]) == 0
@@ -260,6 +269,85 @@ class TestKernelProperties:
         for vec in kernel:
             assert all(sum(e * v for e, v in zip(row, vec)) == 0
                        for row in m)
+
+
+@st.composite
+def vanishing_problems(draw):
+    """(columns, n, tau) with m = 1..3 integer columns of length tau.  The
+    columns share p leading zeros.  Each is random with entries up to 2^200,
+    c a^k b^(tau-1-k) like an exp column over b^N N!, or small (so residuals
+    tie and cancel); after the first, also zero or a multiple of an earlier
+    one.  All of them may carry a common power of b."""
+    m, n = draw(st.integers(1, 3)), draw(st.integers(1, 8))
+    tau = draw(st.integers(1, m * (n + 1) + 1))
+    p = min(draw(st.integers(0, 3)), tau - 1)
+    b = draw(st.integers(1, 2 ** 40))
+    columns = []
+    for i in range(m):
+        kind = draw(st.sampled_from(("big", "power", "small", "multiple",
+                                     "zero")[:5 if i else 3]))
+        if kind == "zero":
+            body = [0] * (tau - p)
+        elif kind == "multiple":
+            c = draw(st.integers(-5, 5).filter(bool))
+            body = [c * e for e in columns[draw(st.integers(0, i - 1))][p:]]
+        elif kind == "power":
+            a, c = draw(st.integers(-2 ** 20, 2 ** 20)), draw(st.integers(1, 9))
+            body = [c * a ** k * b ** (tau - 1 - k) for k in range(tau - p)]
+        else:
+            bound = 2 ** 200 if kind == "big" else 2
+            body = draw(st.lists(st.integers(-bound, bound),
+                                 min_size=tau - p, max_size=tau - p))
+        columns.append([0] * p + body)
+    scale = b ** draw(st.integers(0, 3))
+    return [[scale * e for e in col] for col in columns], n, tau
+
+
+def _pivot_and_degree(vec, w):
+    """(i, d) for d the largest degree of the blocks P_i of vec and i the
+    last block of that degree."""
+    degs = [max((nu for nu in range(w) if vec[i * w + nu]), default=-1)
+            for i in range(len(vec) // w)]
+    d = max(degs)
+    return max(i for i, e in enumerate(degs) if e == d), d
+
+
+class TestOrderBasisKernel:
+    """auxiliary's order-basis route to the vanishing kernel against the
+    Fraction elimination of the dense vanishing matrix."""
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(vanishing_problems())
+    def test_matches_dense_kernel(self, problem):
+        columns, n, tau = problem
+        w = n + 1
+        matrix = vanishing_matrix(columns, n, tau)
+        kernel = ref_kernel(matrix)
+        span = auxiliary._vanishing_span(columns, n, tau)
+        assert auxiliary._canonical_kernel(span, len(columns) * w) == kernel
+        # a basis of the kernel in weak Popov form: the z^j b_l keep the
+        # pivot block l of b_l, one vector per (pivot block, degree)
+        assert len(span) == len(kernel)
+        assert all(sum(map(operator.mul, row, vec)) == 0
+                   for row in matrix for vec in span)
+        pairs = [_pivot_and_degree(vec, w) for vec in span]
+        assert len(set(pairs)) == len(pairs)
+
+    def test_zero_matrix_gives_every_unit_vector(self):
+        span = auxiliary._vanishing_span([[0, 0, 0], [0, 0, 0]], 1, 3)
+        assert auxiliary._canonical_kernel(span, 4) == [
+            (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
+
+    def test_one_column(self):
+        # P F = O(z^2) with F(0) != 0 forces P = c z^2
+        span = auxiliary._vanishing_span([[1, 1, 1]], 2, 2)
+        assert span == [[0, 0, 1]]
+        assert auxiliary._canonical_kernel(span, 3) == [(0, 0, 1)]
+
+    def test_full_column_rank_has_no_span(self):
+        span = auxiliary._vanishing_span([[1, 2, 3, 5]], 1, 4)
+        assert span == []
+        assert auxiliary._canonical_kernel(span, 2) == []
 
 
 class TestAgainstLaplaceExpansion:

@@ -45,7 +45,11 @@ CASES = (
        "logbound kummer_1_3_1_2 --xi 1 --approx 7/3",
        "logbound bessel_j0 --xi 2/3 --approx -2/9",
        "scan bessel_j0 --xi 1/2 --bmax 4 --window 1/2",
-       "scan kummer_1_3_1_2 --xi 1/2 --bmax 4 --window 1/2"]
+       "scan kummer_1_3_1_2 --xi 1/2 --bmax 4 --window 1/2",
+       # large kernels, and columns that carry b^N N! from beta = a/b
+       "construct kummer_1_3_1_2 --n 48",
+       "construct bessel_j0 --n 40",
+       "logbound bessel_j0 --xi 1 --approx -141909497/530262807"]
 )
 
 
