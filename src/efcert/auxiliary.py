@@ -67,9 +67,10 @@ class AuxiliaryBasis:
     otherwise the search hit its limit and the order is >= achieved_order.
     height is the max coefficient modulus over all P_i.
 
-    It also keeps its system and the coefficients of R = sum P_i f_i found
-    so far (both left out of == and repr), which the ladder check and the
-    remainder extend instead of recomputing R.
+    Left out of == and repr, it keeps its system, the P_i as integer tuples
+    (int_polys) and the coefficients r_nu of R = sum P_i f_i found so far as
+    [D, [D r_0, D r_1, ...]], D a denominator of the integer columns, which
+    the ladder check and the remainder extend in place.
     """
 
     n: int
@@ -80,7 +81,8 @@ class AuxiliaryBasis:
     achieved_exact: bool
     height: int
     _system: DiffSystem = field(compare=False, repr=False)
-    _r: list[Fraction] = field(compare=False, repr=False)
+    int_polys: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
+    _r: list = field(compare=False, repr=False)
 
     @property
     def m(self) -> int:
@@ -110,30 +112,23 @@ def _combination(polys: Sequence[Sequence[int]],
     return out
 
 
-def _integer_polys(polys: Sequence[Poly]) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(c.numerator for c in p.coeffs) for p in polys)
-
-
-def _remainder_terms(polys: Sequence[Sequence[int]], d: int,
-                     columns: Sequence[Sequence[int]], start: int, stop: int
-                     ) -> list[Fraction]:
-    """Coefficients start..stop-1 of R = sum_i P_i f_i, f_i = F_i / d, each
-    normalised to a Fraction once."""
-    return [Fraction(v, d) for v in _combination(polys, columns, start, stop)]
-
-
 def _remainder_upto(basis: AuxiliaryBasis, sys: DiffSystem, order: int
-                    ) -> list[Fraction]:
-    """Coefficients 0..order of R, computing only those the basis lacks."""
+                    ) -> tuple[int, list[tuple[int, ...]], list[int]]:
+    """(D, columns, D r_0..D r_order): the integer columns to the order over
+    their denominator D, and R's coefficients over D, computing only those
+    the basis lacks.  The store's denominator and D are prefix lcms of the
+    same column denominators, so one divides the other."""
     if sys != basis._system:
         raise InputError("the system differs from the one the auxiliary "
                          "basis was constructed for")
-    r = basis._r
+    d, columns = sys.integer_coefficients(order)
+    r_d, r = basis._r
     if len(r) <= order:
-        d, columns = sys.integer_coefficients(order)
-        r += _remainder_terms(_integer_polys(basis.polys), d, columns, len(r),
-                              order + 1)
-    return r[:order + 1]
+        e = math.lcm(r_d, d)
+        new = _combination(basis.int_polys, columns, len(r), order + 1)
+        r[:] = [c * (e // r_d) for c in r] + [c * (e // d) for c in new]
+        basis._r[0] = r_d = e
+    return d, columns, [c // (r_d // d) for c in r[:order + 1]]
 
 
 def _vanishing_span(columns: Sequence[Sequence[int]], n: int, tau: int
@@ -229,30 +224,34 @@ def construct(sys: DiffSystem, n: int, eps1: Rational | None = None
             "vanishing system has full column rank; dimension count violated")
     vec = min(kernel, key=lambda v: (max(abs(e) for e in v), v))
     polys = tuple(Poly(vec[i * (n + 1):(i + 1) * (n + 1)]) for i in range(m))
+    ints = tuple(tuple(c.numerator for c in p.coeffs) for p in polys)
 
-    ints = _integer_polys(polys)
-    r = _remainder_terms(ints, d, ext, 0, tau)
+    r = _combination(ints, ext, 0, tau)
     for k, c in enumerate(r):
         if c:
             raise AssertionError(f"vanishing condition failed at order {k}")
     while len(r) <= limit and not any(r[tau:]):
-        r += _remainder_terms(ints, d, ext, len(r), len(r) + 1)
+        r += _combination(ints, ext, len(r), len(r) + 1)
     exact = any(r[tau:])
     return AuxiliaryBasis(n=n, eps1=eps1, tau=tau, polys=polys,
                           achieved_order=len(r) - 1 if exact else limit + 1,
                           achieved_exact=exact,
-                          height=max(abs(e) for e in vec), _system=sys, _r=r)
+                          height=max(abs(e) for e in vec), _system=sys,
+                          int_polys=ints, _r=[d, r])
 
 
 @dataclass(frozen=True)
 class RemainderSeries:
     """Exact leading coefficients of R plus a factorial-decay tail record.
 
-    coeffs[nu] is the coefficient of z^nu for nu <= cutoff; for nu beyond the
-    cutoff, tail_bound(nu) majorizes |coefficient of z^nu|.
+    R stays on integers: numerators[nu] / denominator is the coefficient of
+    z^nu for nu <= cutoff, over the denominator D of the system's integer
+    columns to the cutoff.  For nu beyond the cutoff, tail_bound(nu)
+    majorizes |coefficient of z^nu|.
     """
 
-    coeffs: tuple[Fraction, ...]
+    denominator: int
+    numerators: tuple[int, ...]
     cutoff: int
     m: int
     n: int
@@ -277,7 +276,8 @@ def remainder(basis: AuxiliaryBasis, sys: DiffSystem, cutoff: int
             f"{basis.achieved_order}")
     if sys.growth is None:
         raise MissingGrowthCertificate("remainder tail needs a growth certificate")
-    coeffs = tuple(_remainder_upto(basis, sys, cutoff))
-    return RemainderSeries(coeffs=coeffs, cutoff=cutoff, m=sys.m, n=basis.n,
+    d, _, nums = _remainder_upto(basis, sys, cutoff)
+    return RemainderSeries(denominator=d, numerators=tuple(nums),
+                           cutoff=cutoff, m=sys.m, n=basis.n,
                            height=basis.height,
                            c_hat=max(Fraction(1), Fraction(sys.growth.C)))

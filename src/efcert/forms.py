@@ -30,11 +30,10 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Sequence
 
-from .algebra import (Poly, Rational, cofactor, common_numerators, det_exact,
-                      horner, prefix_numerators, rank)
+from .algebra import Poly, Rational, cofactor, det_exact, horner, rank
 from .auxiliary import (AuxiliaryBasis, RemainderSeries, _combination,
-                        _integer_polys, _remainder_upto, construct,
-                        default_eps1, remainder, validate_eps1)
+                        _remainder_upto, construct, default_eps1, remainder,
+                        validate_eps1)
 from .efunction import DiffSystem, extract_params
 from .errors import (ExhaustedN, InputError, MissingGrowthCertificate,
                      RankDeficientLadder, SingularEvaluationPoint)
@@ -134,12 +133,12 @@ def build_ladder(basis: AuxiliaryBasis, sys: DiffSystem, K: int) -> FormsLadder:
     q = params.q
     lam = sys.clear_factor
     order = basis.achieved_order + K * (q + 1) + 8
-    # R, row 1 of the identity check; InputError for another system
-    r = _remainder_upto(basis, sys, order)
+    # D R, row 1 of the identity check; InputError for another system
+    _, columns, combo = _remainder_upto(basis, sys, order)
     lam_t = [lam * c.numerator for c in sys.T.coeffs]
     lam_ta = [[[int(lam * c) for c in p.coeffs] for p in row]
               for row in sys.TA]
-    rows = [_integer_polys(basis.polys)]
+    rows = [basis.int_polys]
     for _ in range(K - 1):
         rows.append(_next_row(rows[-1], lam_t, lam_ta))
     bounds = tuple(basis.n + k * q for k in range(K))
@@ -151,8 +150,6 @@ def build_ladder(basis: AuxiliaryBasis, sys: DiffSystem, K: int) -> FormsLadder:
             if len(p) - 1 == bounds[k]:
                 logger.debug("ladder degree bound attained (non-strict) at "
                              "row %d component %d", k + 1, i + 1)
-    d, columns = sys.integer_coefficients(order)
-    combo = [c.numerator * (d // c.denominator) for c in r]
     for k in range(1, K):
         nxt = _combination(rows[k], columns, 0, order + 1)
         derived = _combination([lam_t], [_derivative(combo)], 0, order)
@@ -294,11 +291,10 @@ def _scaled_form_upper_bounds(rem: RemainderSeries, ladder_rows: list[int],
                               t_poly: Poly) -> tuple[Fraction, ...]:
     """U_k >= |s_k R_{k+1}(xi)| for the ascending 0-based ladder rows k:
     exact evaluation of (T d/dz)^k applied to the truncation, one step at a
-    time on the integer numerators E R (E the lcm of the denominators of
-    the truncation), plus the propagated tail."""
+    time on the integer numerators D R (D the column denominator the
+    remainder carries), plus the propagated tail."""
     uppers = []
-    nums, steps, _ = prefix_numerators(rem.coeffs)
-    e, poly = common_numerators(nums, steps)
+    e, poly = rem.denominator, rem.numerators
     t = [c.numerator for c in t_poly.coeffs]
     a, d = xi.numerator, xi.denominator
     power = 0

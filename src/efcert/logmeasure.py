@@ -304,7 +304,8 @@ def measure_scan(sys: DiffSystem, xi: Rational, b_max: int,
         raise InputError("window does not fit in a float") from None
     state = _PointState(sys, xi, config)
     f_iv = state.f_value
-    ln_mid = math.log(float(Fraction(f_iv.lo + f_iv.hi, 2)))
+    mid = Fraction(f_iv.lo + f_iv.hi, 2)      # of any size: no float(mid)
+    ln_mid = math.log(mid.numerator) - math.log(mid.denominator)
     pairs = []
     for b in range(1, b_max + 1):
         lo = math.floor(b * (ln_mid - w_f)) - 2

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import logging
+import re
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
@@ -35,8 +36,11 @@ logger = logging.getLogger(__name__)
 
 # Size limits on untrusted expressions, checked before any arithmetic: digits
 # of an integer literal, and the degree and coefficient bits of a product or
-# power, predicted from its factors (degrees and bit lengths add).
+# power, predicted from its factors (degrees and bit lengths add).  A rational
+# in exponent notation ("1e5", "2.5E-3") has an exponent of at most
+# _MAX_DIGITS in magnitude, checked before Fraction computes its power of ten.
 _MAX_DIGITS = 1000
+_EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
 _MAX_DEGREE = 256
 _MAX_BITS = 4096
 
@@ -202,6 +206,11 @@ def frac_str(x: Fraction) -> str:
 
 
 def parse_rational(text: str) -> Fraction:
+    exponent = _EXPONENT.search(text)
+    digits = exponent[1].replace("_", "").lstrip("0") if exponent else ""
+    if len(digits) > len(str(_MAX_DIGITS)) or int(digits or 0) > _MAX_DIGITS:
+        raise InputError(f"rational {text!r}: exponent of more than "
+                         f"{_MAX_DIGITS} in magnitude")
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
@@ -272,7 +281,7 @@ def system_from_dict(doc: dict, origin: str = "<dict>") -> DiffSystem:
         raise InputError(f"{origin}: top level must be a JSON object")
     try:
         m = int(doc["m"])
-    except (KeyError, TypeError, ValueError):
+    except (KeyError, TypeError, ValueError, OverflowError):
         raise InputError(f"{origin}: field 'm': missing or not an integer")
     raw_a = doc.get("A")
     if (not isinstance(raw_a, list) or len(raw_a) != m
@@ -361,6 +370,8 @@ def parse_system(path: str | Path) -> DiffSystem:
         raise InputError(
             f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
+    except ValueError as exc:        # an integer literal past int's digits
+        raise InputError(f"{path}: {exc}") from None
     return system_from_dict(doc, origin=str(path))
 
 

@@ -11,9 +11,10 @@ from efcert import auxiliary, forms
 from efcert.algebra import Poly
 from efcert.auxiliary import (construct, default_eps1, remainder,
                               vanishing_order_target)
-from efcert.efunction import augment_exp
+from efcert.efunction import augment_exp, extract_params
 from efcert.errors import InputError
-from efcert.forms import build_ladder, certified_lower_bound
+from efcert.forms import (build_ladder, certified_lower_bound, evaluate_forms,
+                          ladder_length)
 
 from conftest import build_j0
 
@@ -27,6 +28,11 @@ def ref_remainder_coefficient(polys, series, k):
             if b and j <= k:
                 acc += b * s.coefficient(k - j)
     return acc
+
+
+def fractions(rem):
+    """The remainder's coefficients as Fractions."""
+    return [F(c, rem.denominator) for c in rem.numerators]
 
 
 def ref_combination(polys, columns, start, stop):
@@ -157,8 +163,9 @@ class TestRemainder:
     def test_exp_pair_coefficients(self, exp_pair):
         basis = construct(exp_pair, 1, F(1, 4))
         rem = remainder(basis, exp_pair, 5)
-        assert rem.coeffs[3] == F(1, 6)           # a_3/3! with a_3 = 1
-        assert rem.coeffs[:3] == (F(0), F(0), F(0))
+        assert rem.denominator == 120             # the columns' 5!
+        assert fractions(rem)[3] == F(1, 6)       # a_3/3! with a_3 = 1
+        assert fractions(rem)[:3] == [F(0), F(0), F(0)]
 
     def test_cutoff_below_tau_rejected(self, exp_pair):
         basis = construct(exp_pair, 1, F(1, 4))
@@ -179,9 +186,9 @@ class TestRemainder:
         sys = {"exp_pair": exp_pair, "bessel": j0, "kummer": kummer}[fixture]
         basis = construct(sys, 2)
         small = remainder(basis, sys, max(basis.tau, basis.achieved_order))
-        wide = remainder(basis, sys, 52)
+        wide = fractions(remainder(basis, sys, 52))
         for nu in range(small.cutoff + 1, 51):
-            assert abs(wide.coeffs[nu]) <= small.tail_bound(nu), nu
+            assert abs(wide[nu]) <= small.tail_bound(nu), nu
 
     def test_tail_needs_nu_beyond_n(self, exp_pair):
         basis = construct(exp_pair, 1, F(1, 4))
@@ -205,9 +212,47 @@ class TestSharedRemainder:
             series = sys.coefficients(cutoff)
             ref = [ref_remainder_coefficient(basis.polys, series, k)
                    for k in range(cutoff + 1)]
-            assert len(basis._r) == basis.achieved_order + 1
-            assert basis._r == ref[:len(basis._r)]
-            assert list(remainder(basis, sys, cutoff).coeffs) == ref
+            d, nums = basis._r
+            assert len(nums) == basis.achieved_order + 1
+            assert [F(c, d) for c in nums] == ref[:len(nums)]
+            rem = remainder(basis, sys, cutoff)
+            assert rem.denominator == sys.integer_coefficients(cutoff)[0]
+            assert fractions(rem) == ref
+
+    @pytest.mark.parametrize("name", ["exp_pair", "bessel", "kummer",
+                                      "bessel_exp_half"])
+    def test_store_denominator_leaves_results_unchanged(self, name, j0,
+                                                        kummer, exp_pair):
+        # The usual order (construct, ladder, remainder) against a remainder
+        # past the ladder's order first, which leaves the store over a larger
+        # denominator than the ladder reads.  construct's own store is over
+        # the denominator of its search limit.
+        sys = {"bessel": j0, "kummer": kummer, "exp_pair": exp_pair,
+               "bessel_exp_half": augment_exp(j0, F(1, 2))}[name]
+        params = extract_params(sys)
+        xi = F(1, 2)
+        below_limit = 0
+        for n in range(1, 7):
+            usual = construct(sys, n)
+            K = ladder_length(sys.m, params.q, params.p, n, usual.eps1)
+            order = usual.achieved_order + K * (params.q + 1) + 8  # the ladder's
+            below_limit += usual._r[0] != sys.integer_coefficients(order)[0]
+            ladder = build_ladder(usual, sys, K)
+            cutoff = max(usual.achieved_order, usual.tau) + K + 30
+            rem = remainder(usual, sys, cutoff)
+            early = construct(sys, n)
+            remainder(early, sys, cutoff + 40)
+            assert early._r[0] == sys.integer_coefficients(cutoff + 40)[0]
+            assert build_ladder(early, sys, K).scaled_rows == ladder.scaled_rows
+            early_rem = remainder(early, sys, cutoff)
+            assert early_rem == rem
+            scales = evaluate_forms(ladder, xi).row_scales
+            rows = list(range(K))
+            assert (forms._scaled_form_upper_bounds(early_rem, rows, xi,
+                                                    scales, sys.T)
+                    == forms._scaled_form_upper_bounds(rem, rows, xi, scales,
+                                                       sys.T))
+        assert below_limit
 
     def test_ladder_identity_failure_detected(self, exp_pair, monkeypatch):
         # the integer row step gets 2 lambda T S' in place of lambda T S'
@@ -261,5 +306,5 @@ class TestSharedRemainder:
         covered = []
         for start, stop in spans:
             covered.extend(range(start, stop))
-        assert covered == list(range(len(basis._r)))
-        assert len(basis._r) > basis.achieved_order + 24
+        assert covered == list(range(len(basis._r[1])))
+        assert len(basis._r[1]) > basis.achieved_order + 24

@@ -285,6 +285,28 @@ class TestWorkCeilings:
                 window=f"{cli._MAX_WINDOW}.001"))
 
 
+class TestExponentNotation:
+    @pytest.mark.parametrize("argv", [
+        ["logbound", "bessel_j0", "--xi", "1", "--approx", "1e4000000"],
+        ["scan", "bessel_j0", "--xi", "1", "--bmax", "2",
+         "--window", "1e-4000000"],
+    ], ids=["approx", "window"])
+    def test_large_exponent_exits_3_at_once(self, argv):
+        # Fraction evaluates 1e<k> before any check, in time that grows
+        # faster than k (2.2 s for this k; 1e999999999 asks for 415 MB).  A
+        # child process, so that a hang fails on the timeout and a crash
+        # shows its traceback on stderr.
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        proc = subprocess.run([sys.executable, "-m", "efcert.cli", *argv],
+                              capture_output=True, text=True, env=env,
+                              timeout=10)
+        assert proc.returncode == 3
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: rational ")
+        assert "exponent of more than 1000" in proc.stderr
+
+
 class TestOversizedReport:
     @pytest.mark.parametrize("xi", ["500", "1/1" + "0" * 200],
                              ids=["xi_500", "xi_1e-200"])

@@ -320,7 +320,7 @@ class TestCertifiedLowerBound:
         scales = [3, 5, 7, 11, 13, 17, 19]
 
         def reference(k):
-            poly = Poly(rem.coeffs)
+            poly = Poly(F(c, rem.denominator) for c in rem.numerators)
             for _ in range(k):
                 poly = aug.T * poly.derivative()
             tail = forms._operator_tail_sum(rem, k, xi, aug.T)

@@ -16,6 +16,7 @@ from efcert.errors import (DegenerateFit, InputError, MissingExponentBound,
 from efcert.evalcert import RatInterval, eval_component, eval_exp
 from efcert.logmeasure import (LogBoundResult, LogConfig, exponent_fit,
                                log_lower_bound, measure_scan)
+from efcert.sysdesc import system_from_dict
 
 from oracles import log_distance_oracle
 
@@ -117,6 +118,19 @@ class TestMeasureScan:
     def test_window_beyond_float_rejected(self, j0):
         with pytest.raises(InputError, match="window"):
             measure_scan(j0, F(1, 2), 2, F(10) ** 309, CFG)
+
+    def test_centre_beyond_float(self, monkeypatch):
+        # f = (z+1) e^(800 z), so f(1) = 2 e^800 > 1.8e308 and ln f(1) =
+        # 800.69...: the scan centre is an exact logarithm, not a float's.
+        # The rows themselves are stubbed; membership still runs exactly.
+        sys = system_from_dict({
+            "m": 1, "A": [["800 + 1/(z+1)"]], "seeds": [["1"]],
+            "growth": {"C": "801", "D": "1"},
+            "exponent_bound": {"global": "1"}})
+        monkeypatch.setattr(logmeasure, "log_lower_bound",
+                            lambda sys, xi, a, b, config, _state: (a, b))
+        assert measure_scan(sys, 1, 1, F(1, 2), LogConfig(n_max=1)) \
+            == [(801, 1)]
 
     def test_zero_window_empty(self, j0):
         assert measure_scan(j0, 1, 3, 0, CFG) == []

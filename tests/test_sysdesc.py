@@ -11,8 +11,8 @@ from efcert.algebra import Poly, RatFunc
 from efcert.efunction import catalog, extract_params
 from efcert.errors import InputError
 from efcert.sysdesc import (catalog_file, emit_system, frac_str, parse_ratfunc,
-                            parse_system, poly_str, ratfunc_str,
-                            resolve_system_path, system_from_dict)
+                            parse_rational, parse_system, poly_str,
+                            ratfunc_str, resolve_system_path, system_from_dict)
 
 
 class TestExpressionParser:
@@ -154,6 +154,44 @@ class TestSystemFiles:
             system_from_dict({"m": 2, "A": [["1"]], "seeds": [["1"], ["1"]]})
         with pytest.raises(InputError, match="seeds"):
             system_from_dict({"m": 1, "A": [["1"]], "seeds": []})
+
+    def test_integer_literal_past_int_digits_rejected(self, tmp_path):
+        # json.loads raises a plain ValueError for a literal of more than
+        # 4,300 digits
+        doc = json.loads(catalog_file("bessel_j0").read_text())
+        doc["seeds"][0] = [0]
+        p = tmp_path / "big_seed.json"
+        p.write_text(json.dumps(doc).replace("[0]", "[" + "1" * 5000 + "]"),
+                     encoding="utf-8")
+        with pytest.raises(InputError, match="big_seed.json"):
+            parse_system(p)
+
+    def test_infinite_m_rejected(self, tmp_path):
+        p = tmp_path / "inf_m.json"
+        p.write_text('{"m": 1e400, "A": [["1"]], "seeds": [["1"]]}',
+                     encoding="utf-8")
+        with pytest.raises(InputError, match="'m'"):
+            parse_system(p)
+
+    @pytest.mark.parametrize("field", ["seeds", "growth", "exponent_bound"])
+    def test_large_exponent_notation_rejected(self, field):
+        # Fraction evaluates the power of ten first: 1e999999999 would be an
+        # integer of about 415 MB
+        doc = {"m": 1, "A": [["1"]], "seeds": [["1"]],
+               "growth": {"C": "1", "D": "1"}, "exponent_bound": "1"}
+        doc[field] = {"seeds": [["1e1001"]],
+                      "growth": {"C": "1", "D": "1e-1001"},
+                      "exponent_bound": "1E+1_001"}[field]
+        with pytest.raises(InputError, match="exponent of more than 1000"):
+            system_from_dict(doc)
+
+    def test_exponent_notation_up_to_the_limit(self):
+        assert parse_rational("1e1000") == 10 ** 1000
+        assert parse_rational(" 25E-0_1000 ") == F(25, 10 ** 1000)
+        assert parse_rational("2.5e3") == 2500
+        for text in ("1e1001", "1e-1001", "1e" + "9" * 5000):
+            with pytest.raises(InputError, match="exponent"):
+                parse_rational(text)
 
     def test_syntax_error_position(self, tmp_path):
         p = tmp_path / "bad.json"
