@@ -71,7 +71,10 @@ def exp_numerators(beta: Fraction, order: int) -> tuple[int, list[int]]:
 
     With beta = a/b they are e_k / E for e_k = a^k b^(order-k) order!/k!
     and E = e_0 = b^order order!; the lcm of their denominators is E / g,
-    g the gcd of the e_k, so no coefficient is reduced on its own.
+    g the gcd of the e_k, so no coefficient is reduced on its own.  That gcd
+    is gcd(e_0, e_order) = gcd(order!, a^order): a prime p dividing a has
+    v_p(e_k) = k v_p(a) + v_p(order!/k!) > v_p(order!) for k >= 1, since
+    v_p(k!) < k, and any other prime does not divide e_order = a^order.
     """
     a, b = beta.numerator, beta.denominator
     tops = [1] * (order + 1)                  # b^(order-k) order!/k!
@@ -81,7 +84,7 @@ def exp_numerators(beta: Fraction, order: int) -> tuple[int, list[int]]:
     for t in tops:
         nums.append(power * t)
         power *= a
-    g = math.gcd(*reversed(nums))            # small entries first
+    g = math.gcd(nums[0], nums[-1])
     return nums[0] // g, [e // g for e in nums]
 
 
@@ -297,10 +300,12 @@ class RatFunc:
             denom = Poly.one()
         if denom.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
-        g = num.gcd(denom)
-        if not g.is_zero() and g.degree >= 1:
-            num = num.divmod(g)[0]
-            denom = denom.divmod(g)[0]
+        if denom.degree >= 1 and num.degree != 0:
+            # otherwise the gcd is 1: denom or num is a nonzero constant
+            g = num.gcd(denom)
+            if g.degree >= 1:
+                num = num.divmod(g)[0]
+                denom = denom.divmod(g)[0]
         lead = denom.leading()
         object.__setattr__(self, "num", num.scale(1 / lead))
         object.__setattr__(self, "denom", denom.scale(1 / lead))

@@ -22,8 +22,9 @@ and using |phi_{k,i}| <= C^(k+1) from the growth certificate,
 
     |r_nu| <= m (n+1) B Chat^(nu+1) / (nu - n)!     for nu > n,
 
-with B the max coefficient modulus of the P_i and Chat = max(1, C): each of
-the m(n+1) terms b_{i,j} phi_{nu-j,i}/(nu-j)! is at most B Chat^(nu+1)/(nu-n)!.
+with B the max coefficient modulus of the P_i and Chat = C, which the growth
+certificate keeps >= 1: each of the m(n+1) terms b_{i,j} phi_{nu-j,i}/(nu-j)!
+is at most B Chat^(nu+1)/(nu-n)!.
 """
 
 from __future__ import annotations
@@ -45,8 +46,10 @@ def default_eps1(m: int) -> Fraction:
     return Fraction(1, 2 * m)
 
 
-def validate_eps1(m: int, eps1: Rational) -> Fraction:
-    eps1 = Fraction(eps1)
+def validate_eps1(m: int, eps1: Rational | None) -> Fraction:
+    """eps1 as a Fraction, default_eps1(m) when None; InputError unless
+    0 < eps1 < 1/(2m-1)."""
+    eps1 = default_eps1(m) if eps1 is None else Fraction(eps1)
     if not 0 < eps1 < Fraction(1, 2 * m - 1):
         raise InputError(
             f"eps1 must lie in (0, 1/{2 * m - 1}) for m={m}, got {eps1}")
@@ -128,7 +131,8 @@ def _remainder_upto(basis: AuxiliaryBasis, sys: DiffSystem, order: int
         new = _combination(basis.int_polys, columns, len(r), order + 1)
         r[:] = [c * (e // r_d) for c in r] + [c * (e // d) for c in new]
         basis._r[0] = r_d = e
-    return d, columns, [c // (r_d // d) for c in r[:order + 1]]
+    scale = r_d // d
+    return d, columns, [c // scale for c in r[:order + 1]]
 
 
 def _vanishing_span(columns: Sequence[Sequence[int]], n: int, tau: int
@@ -212,8 +216,6 @@ def construct(sys: DiffSystem, n: int, eps1: Rational | None = None
     if n < 1:
         raise InputError("construct requires n >= 1")
     m = sys.m
-    if eps1 is None:
-        eps1 = default_eps1(m)
     eps1 = validate_eps1(m, eps1)
     tau = vanishing_order_target(m, n, eps1)
     limit = tau + m * (n + 1) + _ACHIEVED_SEARCH_SLACK
@@ -280,4 +282,4 @@ def remainder(basis: AuxiliaryBasis, sys: DiffSystem, cutoff: int
     return RemainderSeries(denominator=d, numerators=tuple(nums),
                            cutoff=cutoff, m=sys.m, n=basis.n,
                            height=basis.height,
-                           c_hat=max(Fraction(1), Fraction(sys.growth.C)))
+                           c_hat=sys.growth.C)

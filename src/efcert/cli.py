@@ -277,19 +277,17 @@ def _parse_target(text: str) -> tuple[int, ...]:
         raise InputError(f"target must be comma-separated integers: {text!r}")
 
 
-def _parameter_block(system: DiffSystem, block: dict | None, n: int,
-                     eps1) -> dict:
-    """The report's parameter block at degree n, extending the
-    _system_parameters block (computed here when None)."""
-    if block is None:
-        block = _system_parameters(system, _n0_if_bounded(system))
-    eps1 = auxiliary.validate_eps1(system.m, eps1) if eps1 is not None \
-        else auxiliary.default_eps1(system.m)
-    ladder = forms.ladder_length(system.m, block["q"], block["p"], n, eps1)
+def _parameter_block(system: DiffSystem, n0: zeroestimate.N0Bound | None,
+                     cert: forms.BoundCertificate) -> dict:
+    """The report's parameter block: the _system_parameters block with the
+    eps1, tau and t1 of the certificate's degree."""
+    block = _system_parameters(system, n0)
+    ladder = forms.ladder_length(system.m, block["q"], block["p"], cert.n,
+                                 cert.eps1)
     return {
         **block,
-        "eps1": frac_str(eps1),
-        "tau": auxiliary.vanishing_order_target(system.m, n, eps1),
+        "eps1": frac_str(cert.eps1),
+        "tau": auxiliary.vanishing_order_target(system.m, cert.n, cert.eps1),
         "t1": ladder - system.m,
     }
 
@@ -299,11 +297,12 @@ def cmd_bound(args) -> int:
     xi = parse_rational(args.xi)
     target = _parse_target(args.target)
     eps1 = parse_rational(args.eps1) if args.eps1 else None
-    block = None
     n_max = args.n_max
     if n_max is None:
-        block = _system_parameters(system, zeroestimate.n0_for_system(system))
-        n_max = forms.default_n_max(block["n0_bound"])
+        n0 = zeroestimate.n0_for_system(system)
+        n_max = forms.default_n_max(n0.value)
+    else:
+        n0 = _n0_if_bounded(system)
     doc = {"command": "bound", "system": name, "xi": frac_str(xi),
            "target": [frac_str(a) for a in target], "n_max": n_max}
     try:
@@ -316,7 +315,7 @@ def cmd_bound(args) -> int:
         emit_report(doc)
         return EXIT_NOT_CERTIFIED
     doc["certificate"] = certificate_dict(cert)
-    doc["parameters"] = _parameter_block(system, block, cert.n, eps1)
+    doc["parameters"] = _parameter_block(system, n0, cert)
     doc["status"] = cert.status
     emit_report(doc)
     return EXIT_OK if cert.certified else EXIT_NOT_CERTIFIED

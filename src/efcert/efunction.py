@@ -74,8 +74,10 @@ class DiffSystem:
     adjoining an exponential block exp(beta z) with den(beta) > 1, where T is
     deliberately kept fixed); ``clear_factor`` records the least positive
     integer lambda with lambda*T*A integral, which downstream denominator
-    clearing uses.  The seeds are probed on construction; the Taylor
-    coefficients are kept in one integer store, solved into on demand.
+    clearing uses.  The seeds are probed on construction (_probe_seeds),
+    except by a system with exp(beta z) adjoined, whose base was probed; the
+    Taylor coefficients are kept in one integer store, solved into on
+    demand.
     """
 
     def __init__(self, A: Sequence[Sequence[RatFunc]], T: Poly,
@@ -181,7 +183,9 @@ class _ExpAugmented(DiffSystem):
     and clear_factor is the lcm of the base's and of the denominators of
     beta T.  The recurrence is block diagonal too, so no column is solved
     for and there is no store of its own: the integer columns are the
-    base's next to the closed form exp_numerators(beta, order).
+    base's next to the closed form exp_numerators(beta, order).  Nor are
+    the seeds probed again: the base's were probed when it was built, and
+    the seed 1 of exp(beta z) is its closed form's constant term.
     """
 
     def __init__(self, base: DiffSystem, beta: Fraction):
@@ -209,7 +213,6 @@ class _ExpAugmented(DiffSystem):
                                      *(c.denominator for c in beta_t.coeffs))
         self._params = None
         self._columns: dict[int, tuple[int, list[tuple[int, ...]]]] = {}
-        self._probe_seeds()
 
     def integer_coefficients(self, order: int
                              ) -> tuple[int, list[tuple[int, ...]]]:
@@ -486,7 +489,9 @@ def catalog(name: str, **params) -> tuple[DiffSystem, GrowthCertificate]:
     """
     name = name.lower()
     if name == "exp":
-        return _catalog_exp(Fraction(params.pop("beta")), _check_empty(params))
+        beta = Fraction(params.pop("beta"))
+        _check_empty(params)
+        return _catalog_exp(beta)
     if name == "bessel_j0":
         _check_empty(params)
         return _catalog_bessel_j0()
@@ -501,10 +506,9 @@ def catalog(name: str, **params) -> tuple[DiffSystem, GrowthCertificate]:
 def _check_empty(params):
     if params:
         raise InputError(f"unexpected catalog parameters {sorted(params)}")
-    return None
 
 
-def _catalog_exp(beta: Fraction, _=None) -> tuple[DiffSystem, GrowthCertificate]:
+def _catalog_exp(beta: Fraction) -> tuple[DiffSystem, GrowthCertificate]:
     growth = GrowthCertificate(max(Fraction(1), abs(beta)), beta.denominator,
                                "catalog")
     a = ((RatFunc.constant(beta),),)

@@ -13,6 +13,8 @@ Tail majorant: if the scaled coefficients satisfy |phi_k| <= C^(k+1), then
     |sum_{k>N} phi_k x^k / k!| <= C (C|x|)^(N+1)/(N+1)! * (1 - C|x|/(N+2))^(-1)
 
 valid as soon as N+2 > C|x| (geometric comparison of consecutive terms).
+``_small_tail`` tests it against the target width on cross-multiplied
+integers and makes a ``Fraction`` only of the tail it accepts.
 """
 
 from __future__ import annotations
@@ -104,29 +106,23 @@ def _grid_bits(width: Fraction) -> int:
     return bits if num << bits >= den8 else bits + 1
 
 
-def _geometric_tail(c: Fraction, x_abs: Fraction, n: int) -> Fraction | None:
-    """Bound on |sum_{k>n} phi_k x^k/k!| under |phi_k| <= c^(k+1), or None if
-    the validity condition n+2 > c|x| fails."""
-    t = c * x_abs
-    if n + 2 <= t:
-        return None
-    head = c * t ** (n + 1) / math.factorial(n + 1)
-    return head / (1 - t / (n + 2))
-
-
-def _tail_within(c: Fraction, x_abs: Fraction, n: int,
-                 width: Fraction) -> bool:
-    """Whether _geometric_tail(c, x_abs, n) is a bound and at most width/4,
-    decided on cross-multiplied integers: with t = c x_abs = tn/td and
-    gap = (n+2) td - tn > 0, that tail is c tn^(n+1) (n+2) over
-    den(c) td^n (n+1)! gap."""
+def _small_tail(c: Fraction, x_abs: Fraction, n: int,
+                width: Fraction) -> Fraction | None:
+    """The tail majorant of the module docstring at truncation order n, or
+    None unless it is valid (n+2 > c|x|) and at most width/4.  With
+    t = c x_abs = tn/td and gap = (n+2) td - tn, it is c tn^(n+1) (n+2) over
+    den(c) td^n (n+1)! gap; the comparison runs on those integers, so only
+    an accepted tail becomes a Fraction."""
     tn = c.numerator * x_abs.numerator
     td = c.denominator * x_abs.denominator
     gap = (n + 2) * td - tn
-    return gap > 0 and (
-        4 * width.denominator * c.numerator * tn ** (n + 1) * (n + 2)
-        <= width.numerator * c.denominator * td ** n
-        * math.factorial(n + 1) * gap)
+    if gap <= 0:
+        return None
+    num = c.numerator * tn ** (n + 1) * (n + 2)
+    den = c.denominator * td ** n * math.factorial(n + 1) * gap
+    if 4 * width.denominator * num > width.numerator * den:
+        return None
+    return Fraction(num, den)
 
 
 def _taylor_enclosure(coefficients, c: Fraction, x: Fraction,
@@ -136,18 +132,16 @@ def _taylor_enclosure(coefficients, c: Fraction, x: Fraction,
     over a common denominator D, and a_k = phi_k/k! with |phi_k| <= c^(k+1).
 
     The truncation order n grows until the tail majorant is valid and at
-    most width/4 (_tail_within); only the n picked gets its Fraction tail.
-    The partial sum is exact (one integer Horner over D den(x)^n).  At
-    x = 0 the value a_0 is returned as a point.
+    most width/4 (_small_tail).  The partial sum is exact (one integer
+    Horner over D den(x)^n).  At x = 0 the value a_0 is returned as a point.
     """
     if x == 0:
         d, nums = coefficients(0)
         return RatInterval.point(Fraction(nums[0], d))
     x_abs = abs(x)
     n = max(4, int(c * x_abs) + 2)
-    while not _tail_within(c, x_abs, n, width):
+    while (tail := _small_tail(c, x_abs, n, width)) is None:
         n += max(4, n // 2)
-    tail = _geometric_tail(c, x_abs, n)
     d, nums = coefficients(n)
     acc = Fraction(horner(nums, x.numerator, x.denominator),
                    d * x.denominator ** n)

@@ -32,8 +32,7 @@ from typing import Sequence
 
 from .algebra import Poly, Rational, cofactor, det_exact, horner, rank
 from .auxiliary import (AuxiliaryBasis, RemainderSeries, _combination,
-                        _remainder_upto, construct, default_eps1, remainder,
-                        validate_eps1)
+                        _remainder_upto, construct, remainder, validate_eps1)
 from .efunction import DiffSystem, extract_params
 from .errors import (ExhaustedN, InputError, MissingGrowthCertificate,
                      RankDeficientLadder, SingularEvaluationPoint)
@@ -178,9 +177,7 @@ def evaluate_forms(ladder: FormsLadder, xi: Rational) -> IntegerForms:
     """s_k P_{k,i}(a/d) = sum_j c_j a^j d^(B_k - j) for the integer row
     lambda^k P_{k,i} = sum_j c_j z^j and B_k = n + k q."""
     xi = Fraction(xi)
-    if xi == 0 or ladder.t_poly(xi) == 0:
-        raise SingularEvaluationPoint(
-            f"xi T(xi) = 0 at xi = {xi}; forms cannot be evaluated there")
+    _check_evaluation_point(ladder.t_poly, xi)
     a, d = xi.numerator, xi.denominator
     rows = []
     scales = []
@@ -231,8 +228,9 @@ class BoundCertificate:
         return self.status == CERTIFIED
 
 
-def _check_evaluation_point(sys: DiffSystem, xi: Fraction):
-    if xi == 0 or sys.T(xi) == 0:
+def _check_evaluation_point(t_poly: Poly, xi: Fraction):
+    """SingularEvaluationPoint unless xi T(xi) != 0."""
+    if xi == 0 or t_poly(xi) == 0:
         raise SingularEvaluationPoint(
             f"xi T(xi) = 0 at xi = {xi}; bound machinery requires a "
             f"nonsingular evaluation point")
@@ -321,6 +319,16 @@ def _check_precision(precision_bits: int):
         raise InputError("precision must be >= 1 bit")
 
 
+def _enclosures(sys: DiffSystem, xi: Fraction, precision_bits: int,
+                given: Sequence[RatInterval] | None) -> list[RatInterval]:
+    """The enclosures of the f_i(xi): the given ones, or computed at width
+    2^-precision_bits."""
+    if given is not None:
+        return list(given)
+    width = Fraction(1, 2 ** precision_bits)
+    return [eval_component(sys, i, xi, width) for i in range(sys.m)]
+
+
 def certified_lower_bound(sys: DiffSystem, xi: Rational,
                           target: Sequence[int], n: int, *,
                           eps1: Rational | None = None,
@@ -347,12 +355,10 @@ def certified_lower_bound(sys: DiffSystem, xi: Rational,
     if all(a == 0 for a in target):
         raise InputError("target vector must be nonzero")
     _check_precision(precision_bits)
-    _check_evaluation_point(sys, xi)
+    _check_evaluation_point(sys.T, xi)
     if sys.growth is None:
         raise MissingGrowthCertificate(
             "certified_lower_bound needs a growth certificate on the system")
-    if eps1 is None:
-        eps1 = default_eps1(m)
     eps1 = validate_eps1(m, eps1)
 
     params = extract_params(sys)
@@ -378,18 +384,14 @@ def certified_lower_bound(sys: DiffSystem, xi: Rational,
     if delta == 0:
         raise AssertionError("selected rows produced a zero determinant")
 
-    if component_intervals is None:
-        width = Fraction(1, 2 ** precision_bits)
-        intervals = [eval_component(sys, i, xi, width) for i in range(m)]
-    else:
-        intervals = list(component_intervals)
+    intervals = _enclosures(sys, xi, precision_bits, component_intervals)
     target_cofs = [cofactor(matrix, m - 1, l) for l in range(m)]
     candidates = [l for l in range(m) if target_cofs[l] != 0]
     ell = max(candidates, key=lambda l: (intervals[l].abs_lower(), -l))
     f_lower = intervals[ell].abs_lower()
 
-    cutoff = _remainder_cutoff(basis, K, max(sys.T.degree, 0),
-                               max(Fraction(1), Fraction(sys.growth.C)), xi)
+    cutoff = _remainder_cutoff(basis, K, max(sys.T.degree, 0), sys.growth.C,
+                               xi)
     rem = remainder(basis, sys, cutoff)
     uppers = _scaled_form_upper_bounds(rem, selected, xi, forms.row_scales,
                                        sys.T)
@@ -438,12 +440,8 @@ def adaptive_bound(sys: DiffSystem, xi: Rational, target: Sequence[int], *,
     if n_max is None:
         n_max = default_n_max(n0_for_system(sys).value)
     xi = Fraction(xi)
-    _check_evaluation_point(sys, xi)
-    if component_intervals is None:
-        width = Fraction(1, 2 ** precision_bits)
-        intervals = [eval_component(sys, i, xi, width) for i in range(sys.m)]
-    else:
-        intervals = list(component_intervals)
+    _check_evaluation_point(sys.T, xi)
+    intervals = _enclosures(sys, xi, precision_bits, component_intervals)
     attempts: list[AttemptRecord] = []
     for n in range(n_start, n_max + 1):
         try:

@@ -23,10 +23,10 @@ from typing import Sequence
 from .algebra import Rational
 from .efunction import DiffSystem, augment_exp, extract_params, rescale
 from .errors import (DegenerateFit, ExhaustedN, InputError,
-                     MissingExponentBound, NonPositiveValue,
-                     SingularEvaluationPoint)
+                     MissingExponentBound, NonPositiveValue)
 from .evalcert import RatInterval, eval_component, eval_exp
-from .forms import (CERTIFIED, NOT_CERTIFIED, BoundCertificate, adaptive_bound,
+from .forms import (CERTIFIED, NOT_CERTIFIED, BoundCertificate,
+                    _check_evaluation_point, _check_precision, adaptive_bound,
                     default_n_max)
 from .zeroestimate import n0_for_system
 
@@ -48,8 +48,7 @@ class LogConfig:
     n_max: int | None = None
 
     def __post_init__(self):
-        if self.precision_bits < 1:
-            raise InputError("precision must be >= 1 bit")
+        _check_precision(self.precision_bits)
 
     @property
     def max_precision_bits(self) -> int:
@@ -168,10 +167,7 @@ def log_lower_bound(sys: DiffSystem, xi: Rational, a: int, b: int,
     xi = Fraction(xi)
     if b < 1:
         raise InputError("approximation denominator b must be >= 1")
-    if xi == 0 or sys.T(xi) == 0:
-        raise SingularEvaluationPoint(
-            f"xi T(xi) = 0 at xi = {xi}: desingularization is unsupported, "
-            f"choose a nonsingular point")
+    _check_evaluation_point(sys.T, xi)
     beta = Fraction(a, b)
     state = _PointState(sys, xi, config) if _state is None else _state
     f_iv = state.f_value

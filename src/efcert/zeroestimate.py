@@ -309,9 +309,6 @@ def exponent_data(sys: DiffSystem) -> ExponentData:
             return PointExponents(point_key, "irregular", None, user)
         if data.ordinary:
             return PointExponents(point_key, "ordinary", data, user)
-        if data.residual_degree > 0 and user is None:
-            # Irrational eigenvalues: the Cauchy bound in data covers them.
-            return PointExponents(point_key, "regular", data, None)
         return PointExponents(point_key, "regular", data, user)
 
     roots, rest = _rational_roots(sys.T)

@@ -6,12 +6,12 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from efcert import auxiliary
 from efcert.algebra import (Poly, RatFunc, RatSeries, cofactor,
-                            common_numerators, det_exact, kernel_basis,
-                            prefix_numerators, rank)
+                            common_numerators, det_exact, exp_numerators,
+                            kernel_basis, prefix_numerators, rank)
 from efcert.sysdesc import catalog_file, parse_system
 
 
@@ -248,6 +248,17 @@ class TestCommonDenominator:
         assert (nums_h + nums_t, steps_h + steps_t, lcm_t) \
             == (nums, steps, lcm)
 
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(st.fractions(-60, 60, max_denominator=40), st.integers(0, 40))
+    @example(F(0), 0)
+    @example(F(0), 7)
+    @example(F(5, 3), 0)
+    def test_exp_numerators(self, beta, order):
+        # D is the lcm of the reduced denominators of beta^k/k!
+        coeffs = [beta ** k / math.factorial(k) for k in range(order + 1)]
+        d = math.lcm(*(c.denominator for c in coeffs))
+        assert exp_numerators(beta, order) == (d, [c * d for c in coeffs])
+
 
 integer_matrices = st.tuples(st.integers(1, 5), st.integers(1, 6)).flatmap(
     lambda shape: st.lists(st.lists(st.integers(-6, 6), min_size=shape[1],
@@ -462,6 +473,18 @@ class TestRatFunc:
     def test_zero_denominator_rejected(self):
         with pytest.raises(ZeroDivisionError):
             RatFunc(Poly([1]), Poly([]))
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(polys, nonzero_polys, nonzero_polys)
+    def test_matches_euclid_normalisation(self, p, q, common):
+        # the Euclid is skipped when num or denom is a nonzero constant
+        for num, denom in ((p, q), (common * p, common * q)):
+            g = num.gcd(denom)
+            ref_num, ref_denom = num.divmod(g)[0], denom.divmod(g)[0]
+            lead = ref_denom.leading()
+            f = RatFunc(num, denom)
+            assert (f.num, f.denom) \
+                == (ref_num.scale(1 / lead), ref_denom.scale(1 / lead))
 
 
 class TestRatSeries:

@@ -299,7 +299,7 @@ class TestAugmentExp:
 
         monkeypatch.setattr(efunction, "exp_numerators", counting)
         aug = augment_exp(j0, F(-3, 7))
-        calls.clear()                       # the seed probe's order
+        assert calls == []                  # no seed probe of its own
         d, first = aug.integer_coefficients(30)
         expected = (d, list(first))
         first[2] = ()                       # alters the caller's list only

@@ -9,8 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import build_exp_pair, build_j0, build_kummer
 from efcert.efunction import augment_exp
-from efcert.evalcert import (RatInterval, _geometric_tail, _grid_bits,
-                             eval_component, eval_exp)
+from efcert.evalcert import RatInterval, _grid_bits, eval_component, eval_exp
 
 # 55-digit references (standard published expansions; cross-checked against
 # mpmath direct summation in tests/oracles.py)
@@ -21,6 +20,14 @@ J01_REF = F("0.7651976865579665514497175261026632209092742897553252419")
 
 # -- reference: the Fraction Horner that the integer enclosures replace
 
+def ref_geometric_tail(c, x_abs, n):
+    """c (c|x|)^(n+1)/(n+1)! / (1 - c|x|/(n+2)), or None if n+2 <= c|x|."""
+    t = c * x_abs
+    if n + 2 <= t:
+        return None
+    return c * t ** (n + 1) / math.factorial(n + 1) / (1 - t / (n + 2))
+
+
 def ref_taylor_enclosure(coefficients, c, x, width):
     """Enclosure of sum_k a_k x^k for coefficients(n) = [a_0, ..., a_n] as
     Fractions: the same truncation order, tail and rounding, with the
@@ -30,7 +37,7 @@ def ref_taylor_enclosure(coefficients, c, x, width):
     x_abs = abs(x)
     n = max(4, int(c * x_abs) + 2)
     while True:
-        tail = _geometric_tail(c, x_abs, n)
+        tail = ref_geometric_tail(c, x_abs, n)
         if tail is not None and tail <= width / 4:
             break
         n += max(4, n // 2)

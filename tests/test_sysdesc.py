@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from efcert.algebra import Poly, RatFunc
-from efcert.efunction import catalog, extract_params
+from efcert.efunction import augment_exp, catalog, extract_params
 from efcert.errors import InputError
 from efcert.sysdesc import (catalog_file, emit_system, frac_str, parse_ratfunc,
                             parse_rational, parse_system, poly_str,
@@ -135,6 +135,15 @@ class TestSystemFiles:
         assert shipped == built
         params = extract_params(shipped)
         assert (params.p, params.q, params.E) == (0, 1, F(1))
+
+    @pytest.mark.parametrize("name", ["kummer_1_3_1_2", "exp_pair"])
+    def test_shipped_file_matches_catalog(self, name):
+        # growth included: kummer's shipped D is kummer_growth_certificate's
+        built = {"kummer_1_3_1_2": lambda: catalog("1f1", a=F(1, 3),
+                                                   b=F(1, 2))[0],
+                 "exp_pair": lambda: augment_exp(catalog("exp", beta=1)[0],
+                                                 2)}[name]()
+        assert parse_system(catalog_file(name)) == built
 
     def test_T_auto_rescaled_with_warning(self, caplog):
         doc = json.loads(catalog_file("kummer_1_3_1_2").read_text())
