@@ -4,14 +4,16 @@ functions, truncated power series, and exact linear algebra.
 Polynomial and series coefficients are :class:`fractions.Fraction`
 (arbitrary precision, always in lowest terms, positive denominator), so every
 value in the package is exact.  Polynomials are dense coefficient tuples
-indexed by degree.  The series hot loops do not use these classes: they run
-on integers with an explicit denominator and convert to ``Fraction`` once per
-result.  ``DiffSystem.integer_coefficients`` gives the Taylor columns over one
-common denominator from the system's one store of integer numerators
-(``prefix_numerators``), of which ``DiffSystem.coefficients`` is the
-``Fraction`` view; a system with exp(beta z) adjoined puts its base's
-columns next to the closed form ``exp_numerators``.  ``auxiliary`` finds the
-vanishing kernel from an order basis of those columns and forms the
+indexed by degree; rational functions add as ``Fraction`` does, from the gcd
+of the two denominators.  The series hot loops do not use these classes: they
+run on integers with an explicit denominator and convert to ``Fraction`` once
+per result.  ``DiffSystem.integer_coefficients`` gives the Taylor columns over
+one common denominator from the system's one store of integer numerators
+(``prefix_numerators``), solved into to exactly the order asked by one
+resumed elimination of the recurrence; ``DiffSystem.coefficients`` is the
+store's ``Fraction`` view, and a system with exp(beta z) adjoined puts its
+base's columns next to the closed form ``exp_numerators``.  ``auxiliary``
+finds the vanishing kernel from an order basis of those columns and forms the
 remainder from them by integer multiply-adds (one pass over a column slice
 per nonzero polynomial coefficient), ``forms`` builds, checks and evaluates
 the ladder on integer rows, and ``evalcert`` sums each Taylor enclosure with
@@ -332,9 +334,31 @@ class RatFunc:
             raise ValueError("not a polynomial")
         return self.num.scale(1 / self.denom.leading())
 
+    @classmethod
+    def _of(cls, num: Poly, denom: Poly) -> "RatFunc":
+        """A rational function on a reduced pair with a monic denominator,
+        not normalised again."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "num", num)
+        object.__setattr__(f, "denom", denom)
+        return f
+
     def __add__(self, other: "RatFunc") -> "RatFunc":
-        return RatFunc(self.num * other.denom + other.num * self.denom,
-                       self.denom * other.denom)
+        # as fractions.Fraction adds (Knuth, TAOCP 4.5.1): with g = gcd(b, d)
+        # of the reduced a/b and c/d, the only common factors of the sum's
+        # numerator and denominator are those of its numerator and g
+        a, b, c, d = self.num, self.denom, other.num, other.denom
+        g = b.gcd(d)
+        if g.degree == 0:
+            return RatFunc._of(a * d + c * b, b * d)
+        b_g, d_g = b.divmod(g)[0], d.divmod(g)[0]
+        t = a * d_g + c * b_g
+        if t.is_zero():
+            return RatFunc.zero()
+        g2 = t.gcd(g)
+        if g2.degree == 0:
+            return RatFunc._of(t, b_g * d)
+        return RatFunc._of(t.divmod(g2)[0], b_g * d.divmod(g2)[0])
 
     def __neg__(self) -> "RatFunc":
         return RatFunc(-self.num, self.denom)

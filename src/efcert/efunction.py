@@ -10,8 +10,10 @@ point, so the solver treats the recurrence as an incremental sparse linear
 system and verifies that the seeds pin a unique solution.  Each system keeps
 one store of them, integer numerators over prefix lcms, which the hot loops
 read through ``integer_coefficients``; ``coefficients`` is its ``Fraction``
-view.  A system with exp(beta z) adjoined keeps no store of its own: it reads
-its base's and the closed form ``algebra.exp_numerators``.
+view.  A miss solves to exactly the order asked, resuming the system's one
+elimination, so each equation of the recurrence is inserted once.  A system
+with exp(beta z) adjoined keeps no store of its own: it reads its base's and
+the closed form ``algebra.exp_numerators``.
 
 The growth certificate asserts |phi_{k,i}| <= C^(k+1) for the scaled
 coefficients f_i = sum phi_{k,i} z^k / k!, and that the common denominator of
@@ -76,8 +78,10 @@ class DiffSystem:
     integer lambda with lambda*T*A integral, which downstream denominator
     clearing uses.  The seeds are probed on construction (_probe_seeds),
     except by a system with exp(beta z) adjoined, whose base was probed; the
-    Taylor coefficients are kept in one integer store, solved into on
-    demand.
+    Taylor coefficients are kept in one integer store.  A miss solves to
+    exactly the order asked by resuming one elimination of the recurrence,
+    kept with the system (its rows, back-substituted values and next
+    equation), so no equation is inserted twice.
     """
 
     def __init__(self, A: Sequence[Sequence[RatFunc]], T: Poly,
@@ -124,6 +128,18 @@ class DiffSystem:
         self._nums: list[int] = []
         self._steps: list[int] = []
         self._lcm = 1
+        # the elimination of the recurrence, resumed on each miss (_solve):
+        # rows keyed on their largest unknown (k * m + i as above), the values
+        # back-substituted so far, the pivots without a value yet, and the
+        # next recurrence equation, (order n, component i) at n * m + i
+        self._rows: dict[int, tuple[dict[int, Fraction], Fraction]] = {}
+        self._values: dict[int, Fraction] = {}
+        self._pending: list[int] = []
+        self._next_equation = 0
+        for i, seq in enumerate(self.seeds):
+            for k, val in enumerate(seq):   # unit rows on distinct unknowns
+                self._rows[k * m + i] = ({k * m + i: Fraction(1)}, val)
+                self._pending.append(k * m + i)
         self._params: SystemParams | None = None
         self._probe_seeds()
 
@@ -159,20 +175,122 @@ class DiffSystem:
         """The Taylor columns up to the given order as (D, numerators): D is
         the lcm of their coefficient denominators, and each column holds the
         integers D * coefficient for orders 0..order.  A miss solves the
-        recurrence to max(order, twice the levels known) into the store."""
+        recurrence to exactly that order and appends the new levels to the
+        store."""
         if order < 0:
             raise ValueError("order must be >= 0")
         m = self.m
         known = len(self._nums) // m
         if known <= order:
-            levels = _solve_recurrence(self, max(order, 2 * known))
+            self._solve(order)
+            values = self._values
             nums, steps, self._lcm = prefix_numerators(
-                (c for level in levels[known:] for c in level), self._lcm)
+                (values[k] for k in range(known * m, (order + 1) * m)),
+                self._lcm)
             self._nums += nums
             self._steps += steps
         d, flat = common_numerators(self._nums[:(order + 1) * m],
                                     self._steps[:(order + 1) * m])
         return d, [tuple(flat[i::m]) for i in range(m)]
+
+    def _solved_order(self) -> int:
+        """The highest order the store holds (-1 before the seed probe)."""
+        return len(self._nums) // self.m - 1
+
+    def _solve(self, order: int):
+        """Solve the coefficient recurrence of T Y' = (T A) Y up to level
+        ``order``, resuming the elimination where the last solve stopped.
+
+        Equating the coefficient of z^N in component i gives, with
+        T = sum t_s z^s and (T A)_ij = sum u_s z^s,
+
+            sum_s t_s (N+1-s) c_{N+1-s, i}  =  sum_j sum_s u_s^{ij} c_{N-s, j}.
+
+        Together with the seed equations this is an (infinite) sparse linear
+        system over the unknowns c_{k,i}, eliminated row by row with each row
+        keyed on its largest unknown.  The seeds go in first, then the
+        equations by ascending (N, i) up to N = order + deg T + 4; each
+        equation goes in once per system, so the rows, and the values
+        back-substituted from them in ascending order of pivot, are those of
+        one elimination from scratch to this order.  z = 0 may be singular,
+        so some levels are pinned by the equations, others by seeds; a
+        coefficient up to ``order`` left free raises UnderdeterminedSeeds, a
+        contradiction InconsistentSeeds, and the same call raises the same
+        error again.
+        """
+        m = self.m
+        stop = (order + self.T.degree + 5) * m
+        while self._next_equation < stop:
+            self._insert_equation(*divmod(self._next_equation, m))
+            self._next_equation += 1
+        rows, values = self._rows, self._values
+        pending = []
+        for pivot in sorted(self._pending):
+            row, acc = rows[pivot]
+            for c, v in row.items():
+                if c != pivot:
+                    if c not in values:
+                        pending.append(pivot)
+                        break
+                    acc -= v * values[c]
+            else:
+                values[pivot] = acc
+        self._pending = pending
+        # the store has a value for each unknown below len(self._nums); the
+        # least unknown without one has no row, for a row's other unknowns
+        # are below its pivot
+        free = next((k for k in range(len(self._nums), (order + 1) * m)
+                     if k not in values), None)
+        if free is not None:
+            level, comp = divmod(free, m)
+            raise UnderdeterminedSeeds(
+                f"coefficient of z^{level} in component {comp + 1} is not "
+                f"pinned; supply more seed terms")
+
+    def _insert_equation(self, n: int, i: int):
+        """Insert the recurrence at order n, component i: reduce it by the
+        stored rows, largest unknown first, and store it normalised on its
+        pivot.  One that reduces to 0 = rhs != 0 raises InconsistentSeeds."""
+        m, rows = self.m, self._rows
+        row: dict[int, Fraction] = {}
+        for s, ts in enumerate(self.T.coeffs):
+            level = n + 1 - s
+            if level >= 1 and ts:
+                key = level * m + i
+                row[key] = row.get(key, 0) + ts * level
+        for j in range(m):
+            for s, us in enumerate(self.TA[i][j].coeffs):
+                level = n - s
+                if level >= 0 and us:
+                    key = level * m + j
+                    nv = row.get(key, 0) - us
+                    if nv:
+                        row[key] = nv
+                    else:
+                        row.pop(key, None)
+        rhs = Fraction(0)
+        while row:
+            pivot = max(row)
+            if pivot not in rows:
+                f = row[pivot]
+                if f != 1:
+                    row = {c: v / f for c, v in row.items()}
+                    rhs = rhs / f
+                rows[pivot] = (row, rhs)
+                self._pending.append(pivot)
+                return
+            stored, stored_rhs = rows[pivot]
+            f = row[pivot]
+            for c, v in stored.items():
+                nv = row.get(c, 0) - f * v
+                if nv:
+                    row[c] = nv
+                else:
+                    row.pop(c, None)
+            rhs = rhs - f * stored_rhs
+        if rhs != 0:
+            raise InconsistentSeeds(f"recurrence at order {n}, component "
+                                    f"{i + 1} (seeds violate the system)")
 
 
 class _ExpAugmented(DiffSystem):
@@ -233,110 +351,9 @@ class _ExpAugmented(DiffSystem):
         d, columns = self._columns[order]
         return d, list(columns)
 
-
-def _solve_recurrence(sys: DiffSystem, nmax: int) -> list[tuple[Fraction, ...]]:
-    """Solve the coefficient recurrence of T Y' = (T A) Y up to level nmax.
-
-    Equating the coefficient of z^N in component i gives, with T = sum t_s z^s
-    and (T A)_ij = sum u_s z^s,
-
-        sum_s t_s (N+1-s) c_{N+1-s, i}  =  sum_j sum_s u_s^{ij} c_{N-s, j}.
-
-    Together with the seed equations this is an (infinite) sparse linear
-    system over the unknowns c_{k,i}; it is processed by incremental
-    elimination keyed on the largest unknown so the result is independent of
-    any ordering choice.  z = 0 may be singular, so some levels are pinned by
-    the equations, others by seeds; missing information raises
-    UnderdeterminedSeeds, contradictions raise InconsistentSeeds.
-    """
-    m = sys.m
-    t_coeffs = sys.T.coeffs
-    n_stop = nmax + sys.T.degree + 4
-    zero = Fraction(0)
-
-    def idx(level: int, comp: int) -> int:
-        return level * m + comp
-
-    rows: dict[int, tuple[dict[int, Fraction], Fraction]] = {}
-
-    def insert(row: dict[int, Fraction], rhs: Fraction, context: str):
-        while row:
-            pivot = max(row)
-            if pivot in rows:
-                stored, stored_rhs = rows[pivot]
-                f = row[pivot]
-                for c, v in stored.items():
-                    nv = row.get(c, zero) - f * v
-                    if nv:
-                        row[c] = nv
-                    else:
-                        row.pop(c, None)
-                rhs = rhs - f * stored_rhs
-            else:
-                f = row[pivot]
-                if f != 1:
-                    row = {c: v / f for c, v in row.items()}
-                    rhs = rhs / f
-                rows[pivot] = (row, rhs)
-                return
-        if rhs != 0:
-            raise InconsistentSeeds(context)
-
-    for i, seq in enumerate(sys.seeds):
-        for k, val in enumerate(seq):
-            insert({idx(k, i): Fraction(1)}, Fraction(val),
-                   f"seed for component {i + 1} at order {k}")
-
-    for n in range(n_stop + 1):
-        for i in range(m):
-            row: dict[int, Fraction] = {}
-            for s, ts in enumerate(t_coeffs):
-                level = n + 1 - s
-                if level >= 1 and ts:
-                    key = idx(level, i)
-                    row[key] = row.get(key, zero) + ts * level
-            for j in range(m):
-                for s, us in enumerate(sys.TA[i][j].coeffs):
-                    level = n - s
-                    if level >= 0 and us:
-                        key = idx(level, j)
-                        nv = row.get(key, zero) - us
-                        if nv:
-                            row[key] = nv
-                        else:
-                            row.pop(key, None)
-            insert(row, zero,
-                   f"recurrence at order {n}, component {i + 1} "
-                   f"(seeds violate the system)")
-
-    req_max = idx(nmax, m - 1)
-    missing = [k for k in range(req_max + 1) if k not in rows]
-    if missing:
-        level, comp = divmod(missing[0], m)
-        raise UnderdeterminedSeeds(
-            f"coefficient of z^{level} in component {comp + 1} is not pinned; "
-            f"supply more seed terms")
-    values: dict[int, Fraction] = {}
-    for pivot in sorted(rows):
-        row, rhs = rows[pivot]
-        acc = rhs
-        resolved = True
-        for c, v in row.items():
-            if c == pivot:
-                continue
-            if c not in values:
-                resolved = False
-                break
-            acc -= v * values[c]
-        if resolved:
-            values[pivot] = acc
-        elif pivot <= req_max:
-            level, comp = divmod(pivot, m)
-            raise UnderdeterminedSeeds(
-                f"coefficient of z^{level} in component {comp + 1} depends on "
-                f"a free coefficient; supply more seed terms")
-    return [tuple(values[idx(k, i)] for i in range(m))
-            for k in range(nmax + 1)]
+    def _solved_order(self) -> int:
+        """The highest order the base's store holds."""
+        return self._base._solved_order()
 
 
 # ---------------------------------------------------------------------------
@@ -408,9 +425,10 @@ _VANISHING_SEARCH_FACTOR = 4
 def extract_params(sys: DiffSystem) -> SystemParams:
     """Read off (p, q, E) and echo T, once per system.
 
-    p is the least level with a nonzero Taylor coefficient in any component;
-    if every coefficient vanishes up to the search limit the system is
-    reported as identically zero, on every call.
+    p is the least level with a nonzero Taylor coefficient in any component,
+    looked for first in the levels the store already holds and only then up
+    to the search limit; if every coefficient vanishes up to that limit the
+    system is reported as identically zero, on every call.
     """
     if sys._params is not None:
         return sys._params
@@ -421,8 +439,10 @@ def extract_params(sys: DiffSystem) -> SystemParams:
             q = max(q, entry.degree)
             e = max(e, entry.max_abs_coeff())
     limit = _VANISHING_SEARCH_FACTOR * (q + 1) * sys.m + 16
-    _, columns = sys.integer_coefficients(limit)
-    for k in range(limit + 1):
+    _, columns = sys.integer_coefficients(min(sys._solved_order(), limit))
+    if not any(any(col) for col in columns):
+        _, columns = sys.integer_coefficients(limit)
+    for k in range(len(columns[0])):
         if any(col[k] for col in columns):
             sys._params = SystemParams(p=k, q=q, E=e, T=sys.T)
             return sys._params

@@ -487,6 +487,27 @@ class TestRatFunc:
                 == (ref_num.scale(1 / lead), ref_denom.scale(1 / lead))
 
 
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(polys, nonzero_polys, polys, nonzero_polys, nonzero_polys)
+    @example(Poly([1]), Poly([0, 1, 1]), Poly([1]), Poly([0, -1, 1]),
+             Poly([1, 1]))
+    def test_sum_matches_the_normalised_cross_product(self, p, q, r, s,
+                                                      common):
+        # sums with coprime denominators, with a shared factor, and with a
+        # shared factor that the numerator cancels in part or in full; the
+        # example is 1/(z(z+1)) + 1/(z(z-1)) = 2/(z(z^2 - 1))
+        for f, g in ((RatFunc(p, q), RatFunc(r, s)),
+                     (RatFunc(p, q * common), RatFunc(r, s * common)),
+                     (RatFunc(p, q * common), RatFunc(-p, q * common)),
+                     (RatFunc(p, q * common), RatFunc(r * q, q * common))):
+            total = f + g
+            ref = RatFunc(f.num * g.denom + g.num * f.denom,
+                          f.denom * g.denom)
+            assert (total.num, total.denom) == (ref.num, ref.denom)
+            if ref.is_zero():
+                assert total == RatFunc.zero()
+
+
 class TestRatSeries:
     def test_truncating_arithmetic(self):
         a = RatSeries([1, 1, 1, 1])

@@ -5,12 +5,12 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from efcert import efunction
 from efcert.algebra import Poly, RatFunc
-from efcert.efunction import (DiffSystem, GrowthCertificate, _solve_recurrence,
-                              augment_exp, catalog, extract_params,
-                              make_system, rescale)
+from efcert.efunction import (DiffSystem, GrowthCertificate, augment_exp,
+                              catalog, extract_params, make_system, rescale)
 from efcert.errors import (AllComponentsZero, InconsistentSeeds, InputError,
                            UnderdeterminedSeeds)
 
@@ -79,58 +79,104 @@ class TestCoefficients:
         assert sys.coefficients(1)[1].coefficient(0) == F(2, 3)
 
 
-class TestCoefficientStore:
-    """One integer store per system, solved into by doubling; coefficients
-    is a Fraction view of it.  Fresh systems, so the requests below are the
-    first each store sees after its seed probe."""
+def closed_form(name, order):
+    """The Taylor columns of a test system up to the given order, from the
+    closed form of its first component f: the second is f' (exp(2 z) next to
+    exp(z)), and bessel_two_thirds is (J0, J0') at 2 z / 3."""
+    k = range(order + 2)
+    f = {"bessel": [F((-1) ** (n // 2), 4 ** (n // 2)
+                      * math.factorial(n // 2) ** 2) if n % 2 == 0 else F(0)
+                    for n in k],
+         "kummer": [F(math.prod(F(1, 3) + j for j in range(n)),
+                      math.prod(F(1, 2) + j for j in range(n))
+                      * math.factorial(n)) for n in k],
+         "exp_pair": [F(1, math.factorial(n)) for n in k]}
+    f["bessel_two_thirds"] = f["bessel"]
+    first = f[name][:order + 1]
+    if name == "exp_pair":
+        second = [c * 2 ** n for n, c in enumerate(first)]
+    else:
+        second = [(n + 1) * f[name][n + 1] for n in range(order + 1)]
+    if name == "bessel_two_thirds":
+        first, second = ([c * F(2, 3) ** n for n, c in enumerate(col)]
+                         for col in (first, second))
+    return [tuple(first), tuple(second)]
 
-    @pytest.mark.parametrize("name", ["bessel", "kummer", "exp_pair",
-                                      "bessel_two_thirds"])
+
+STORE_SYSTEMS = {"bessel": build_j0, "kummer": build_kummer,
+                 "exp_pair": build_exp_pair,
+                 "bessel_two_thirds": lambda: rescale(build_j0(), F(2, 3))}
+
+
+class TestCoefficientStore:
+    """One integer store per system, solved into to exactly the order asked
+    by one elimination of the recurrence, resumed on each miss;
+    coefficients is a Fraction view of it.  Fresh systems, so the requests
+    below are the first each store sees after its seed probe."""
+
+    @pytest.mark.parametrize("name", list(STORE_SYSTEMS))
     def test_against_the_recurrence(self, name):
-        sys = {"bessel": build_j0, "kummer": build_kummer,
-               "exp_pair": build_exp_pair,
-               "bessel_two_thirds": lambda: rescale(build_j0(), F(2, 3))}[name]()
+        # the recurrence's solution is the closed form's series
+        sys = STORE_SYSTEMS[name]()
         for order in (17, 0, 5, 40, 23, 90):
-            ref = [tuple(col) for col in zip(*_solve_recurrence(sys, order))]
+            ref = closed_form(name, order)
             assert [s.coeffs for s in sys.coefficients(order)] == ref
             d, columns = sys.integer_coefficients(order)
             assert [tuple(F(c, d) for c in col) for col in columns] == ref
             assert d == math.lcm(*(c.denominator for col in ref for c in col))
 
-    def test_solve_points_double(self, monkeypatch):
-        # the seed probe solves to 4; a miss then solves to at least twice
-        # the levels known, whichever view asks
-        solved = []
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(st.sampled_from(sorted(STORE_SYSTEMS)),
+           st.lists(st.integers(0, 70), min_size=1, max_size=6))
+    def test_any_order_sequence_matches_a_fresh_system(self, name, orders):
+        sys = STORE_SYSTEMS[name]()
+        for order in orders:
+            fresh = STORE_SYSTEMS[name]()
+            assert sys.integer_coefficients(order) \
+                == fresh.integer_coefficients(order)
 
-        def recording(sys, nmax):
-            solved.append(nmax)
-            return _solve_recurrence(sys, nmax)
+    def test_each_equation_inserted_once(self, monkeypatch):
+        # the seed probe solves to 4; a miss inserts only the equations past
+        # the last one inserted, up to order + deg T + 4, whichever view asks
+        inserted = []
+        insert = DiffSystem._insert_equation
 
-        monkeypatch.setattr(efunction, "_solve_recurrence", recording)
+        def recording(sys, n, i):
+            inserted.append((id(sys), n, i))
+            return insert(sys, n, i)
+
+        monkeypatch.setattr(DiffSystem, "_insert_equation", recording)
         j0 = build_j0()
         for order in (5, 6, 7, 13, 30, 0, 31, 47, 100):
             j0.integer_coefficients(order)
             j0.coefficients(order)
-        assert solved == [4, 10, 22, 46, 94, 190]
-        solved.clear()
-        aug = augment_exp(build_kummer(), F(3, 2))
+        assert inserted == [(id(j0), n, i) for n in range(100 + 1 + 5)
+                            for i in range(2)]
+        inserted.clear()
+        base = build_kummer()
+        aug = augment_exp(base, F(3, 2))
         for order in (17, 0, 5, 40, 23, 90):
             aug.coefficients(order)
             aug.integer_coefficients(order + 1)
         extract_params(aug)
-        assert solved == [4, 17, 36, 74, 150]
+        assert inserted == [(id(base), n, i) for n in range(91 + 1 + 5)
+                            for i in range(2)]
 
     @pytest.mark.parametrize("k", [6, 9])
     def test_indicial_root_past_the_seeds(self, k):
         # y' = (k/z) y: the z^L coefficient reads (L - k) c_L = 0, so c_0 = 0
-        # is forced and c_k is free unless a seed pins it
+        # is forced and c_k is free unless a seed pins it.  The orders below
+        # k do not need c_k (solving past the order asked once made them
+        # raise); asking for k raises, and raises the same again
         a_mat = ((RatFunc(Poly.constant(k), Poly.x()),),)
         sys = make_system(a_mat, ((F(0),),))
-        assert sys.integer_coefficients(4) == (1, [(0,) * 5])
-        with pytest.raises(UnderdeterminedSeeds) as exc:
-            sys.integer_coefficients(k)
-        assert str(exc.value) == (f"coefficient of z^{k} in component 1 is "
-                                  f"not pinned; supply more seed terms")
+        assert sys.integer_coefficients(k - 1) == (1, [(0,) * k])
+        for _ in range(2):
+            with pytest.raises(UnderdeterminedSeeds) as exc:
+                sys.integer_coefficients(k)
+            assert str(exc.value) == (f"coefficient of z^{k} in component 1 "
+                                      f"is not pinned; supply more seed terms")
+        assert sys.coefficients(k - 1)[0].coeffs == (0,) * k
         with pytest.raises(InconsistentSeeds) as exc:
             make_system(a_mat, ((F(1),),))
         assert str(exc.value) == ("recurrence at order 0, component 1 "
@@ -160,6 +206,7 @@ class TestExtractParams:
             extract_params(sys)
 
     def test_computed_once_per_system(self, monkeypatch):
+        # the first call reads the store; later calls read nothing
         sys = build_kummer()
         calls = []
         store = sys.integer_coefficients
@@ -170,19 +217,38 @@ class TestExtractParams:
 
         monkeypatch.setattr(sys, "integer_coefficients", counting)
         first = extract_params(sys)
+        searched = list(calls)
         assert all(extract_params(sys) is first for _ in range(3))
-        assert calls == [4 * (1 + 1) * 2 + 16]
+        assert searched and calls == searched
 
-    def test_all_zero_raises_on_every_call(self, monkeypatch):
+    def test_vanishing_search_reads_the_store_first(self, monkeypatch):
+        # a nonzero level among those the seed probe solved needs no solve
+        # to the search limit; only an all-zero store is searched further
+        solved = []
+        solve = DiffSystem._solve
+        monkeypatch.setattr(DiffSystem, "_solve", lambda s, order:
+                            solved.append(order) or solve(s, order))
+        kummer = build_kummer()
+        z5 = make_system(((RatFunc(Poly.constant(5), Poly.x()),),),
+                         ((F(0),) * 5 + (F(1),),))
+        zero = make_system(((RatFunc.constant(1),),), ((F(0),),))
+        probes = list(solved)
+        assert extract_params(kummer).p == 0
+        assert extract_params(z5).p == 5
+        assert solved == probes
+        with pytest.raises(AllComponentsZero):
+            extract_params(zero)
+        assert solved == probes + [4 * (0 + 1) * 1 + 16]
+
+    def test_all_zero_raises_on_every_call(self):
         sys = make_system(((RatFunc.constant(1),),), ((F(0),),))
-        calls = []
-        store = sys.integer_coefficients
-        monkeypatch.setattr(sys, "integer_coefficients",
-                            lambda order: calls.append(order) or store(order))
+        messages = []
         for _ in range(3):
-            with pytest.raises(AllComponentsZero):
+            with pytest.raises(AllComponentsZero) as exc:
                 extract_params(sys)
-        assert len(calls) == 3
+            messages.append(str(exc.value))
+        assert messages == ["all components vanish to order 20; vanishing "
+                            "order undefined"] * 3
 
     def test_augmented_vanishing_order(self, kummer):
         # z e^z vanishes to order 1 at 0; every augmented system has p = 0
@@ -227,23 +293,21 @@ class TestAugmentExp:
     @pytest.mark.parametrize("beta", [F(0), F(1, 3), F(-2), F(7, 5)])
     def test_columns_match_recurrence(self, beta, monkeypatch):
         # the augmented columns extend the base's and the closed form
-        # beta^k/k!; solving the (m+1)-component recurrence gives the same
-        solved = []
-
-        def recording(sys, nmax):
-            solved.append(sys.m)
-            return _solve_recurrence(sys, nmax)
-
-        monkeypatch.setattr(efunction, "_solve_recurrence", recording)
+        # beta^k/k!; solving the (m+1)-component recurrence (ref_augment's)
+        # gives the same, and the augmented system never solves it
         j0 = catalog("bessel_j0")[0]
         bases = (j0, catalog("1f1", a=F(1, 3), b=F(1, 2))[0],
                  rescale(j0, F(2, 3)))
-        for base in bases:
+        orders = (3, 17, 40)
+        refs = [[ref_augment(base, beta).coefficients(order)
+                 for order in orders] for base in bases]
+        solved = []
+        solve = DiffSystem._solve
+        monkeypatch.setattr(DiffSystem, "_solve", lambda sys, order:
+                            solved.append(sys.m) or solve(sys, order))
+        for base, ref in zip(bases, refs):
             aug = augment_exp(base, beta)
-            for order in (3, 17, 40):
-                ref = _solve_recurrence(aug, order)
-                assert [s.coeffs for s in aug.coefficients(order)] \
-                    == [tuple(col) for col in zip(*ref)]
+            assert [aug.coefficients(order) for order in orders] == ref
         assert solved and set(solved) == {2}     # never the m = 3 system
 
     @pytest.mark.parametrize("name", ["bessel", "kummer", "exp_pair",

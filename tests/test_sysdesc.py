@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import logging
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -68,6 +69,15 @@ class TestExpressionParser:
         with pytest.raises(InputError,
                            match=f"column {column}: {what} too large"):
             parse_ratfunc(text)
+
+    def test_sum_of_high_order_poles_within_budget(self):
+        # a sum brings its terms to the lcm of their denominators without a
+        # Euclid of the degree-255 cross products (about 8 s when it had one)
+        t0 = time.perf_counter()
+        f = parse_ratfunc("1/(z+1)^128+1/(z+2)^127")
+        assert time.perf_counter() - t0 < 4.0
+        assert (f.num.degree, f.denom.degree) == (128, 255)
+        assert f(F(0)) == 1 + F(1, 2 ** 127)
 
     def test_poly_printer(self):
         assert poly_str(Poly([])) == "0"
