@@ -19,6 +19,13 @@ form assemble the determinant inequality
 whose right side is bounded from below using exact integers, a certified
 interval for f_l(xi), and rigorous upper bounds U_j >= |L_j| obtained by
 pushing the remainder's factorial tail through the operator T d/dz.
+
+The ladder length K = m + t1 is the length within which the zero estimate
+guarantees rank m, not a number of rows to compute: rows are built, checked
+and evaluated only as the row selection reaches them, which is row 1 alone
+for most attempts.  The system's integer columns are checked against
+T f' = (T A) f once per ladder, which gives the ladder identity of every
+row, built or not.
 """
 
 from __future__ import annotations
@@ -52,24 +59,47 @@ def ladder_length(m: int, q: int, p: int, n: int, eps1: Rational) -> int:
     return m + t1
 
 
-@dataclass(frozen=True)
 class FormsLadder:
     """K x m array of ladder polynomials; row k (0-based) carries R_{k+1}.
 
     clear_factor is the least positive integer lambda with lambda * T * A
     integral: row k has lambda^k * P_{k,i} in Z[z].  The ladder is built,
-    checked and evaluated on these integer rows (scaled_rows, coefficient
-    tuples in ascending degree without trailing zeros); rows gives the
-    P_{k,i} themselves as Poly.
+    checked and evaluated on these integer rows, coefficient tuples in
+    ascending degree without trailing zeros.  Row k is built only when
+    row(k) first reaches it: each built row has its degrees checked against
+    degree_bounds, and each pair of consecutive built rows the ladder
+    identity N_{k+1} = lambda T N_k' mod z^order on the integer series
+    N_k = D lambda^k R_{k+1}, D the denominator of the system's integer
+    columns.  scaled_rows builds all K rows; rows gives the P_{k,i}
+    themselves as Poly.
     """
 
-    K: int
-    scaled_rows: tuple[tuple[tuple[int, ...], ...], ...]
-    degree_bounds: tuple[int, ...]
-    n: int
-    q: int
-    clear_factor: int
-    t_poly: Poly
+    def __init__(self, basis: AuxiliaryBasis, sys: DiffSystem, K: int,
+                 q: int, order: int, columns: Sequence[Sequence[int]],
+                 series: list[int], step: tuple[list[int], list]):
+        self.K = K
+        self.n = basis.n
+        self.q = q
+        self.clear_factor = sys.clear_factor
+        self.t_poly = sys.T
+        self.degree_bounds = tuple(basis.n + k * q for k in range(K))
+        self._order = order
+        self._columns = columns
+        self._step = step              # lambda T and lambda T A on integers
+        self._series = series          # N_k of the last row built
+        self._built = [self._checked_degrees(0, basis.int_polys)]
+
+    def row(self, k: int) -> tuple[tuple[int, ...], ...]:
+        """The integer row lambda^k P_k, building the rows up to it."""
+        if not 0 <= k < self.K:
+            raise IndexError(f"ladder row {k} outside 0..{self.K - 1}")
+        while len(self._built) <= k:
+            self._extend()
+        return self._built[k]
+
+    @property
+    def scaled_rows(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        return tuple(self.row(k) for k in range(self.K))
 
     @property
     def rows(self) -> tuple[tuple[Poly, ...], ...]:
@@ -77,6 +107,33 @@ class FormsLadder:
         return tuple(tuple(Poly(Fraction(c, self.clear_factor ** k)
                                 for c in p) for p in row)
                      for k, row in enumerate(self.scaled_rows))
+
+    def _checked_degrees(self, k: int, row: tuple[tuple[int, ...], ...]
+                         ) -> tuple[tuple[int, ...], ...]:
+        bound = self.degree_bounds[k]
+        for i, p in enumerate(row):
+            if len(p) - 1 > bound:
+                raise AssertionError(
+                    f"degree bound violated at ladder row {k + 1}")
+            if len(p) - 1 == bound:
+                logger.debug("ladder degree bound attained (non-strict) at "
+                             "row %d component %d", k + 1, i + 1)
+        return row
+
+    def _extend(self):
+        """Build the next row and check it against the last one."""
+        k = len(self._built)
+        lam_t, lam_ta = self._step
+        row = self._checked_degrees(
+            k, _next_row(self._built[-1], lam_t, lam_ta))
+        order = self._order
+        nxt = _combination(row, self._columns, 0, order + 1)
+        derived = _combination([lam_t], [_derivative(self._series)], 0, order)
+        if nxt[:order] != derived:
+            raise AssertionError(
+                f"ladder identity failed between rows {k} and {k + 1}")
+        self._series = nxt
+        self._built.append(row)
 
 
 def _derivative(p: Sequence[int]) -> list[int]:
@@ -119,78 +176,74 @@ def _next_row(row: Sequence[Sequence[int]], lam_t: Sequence[int],
 
 
 def build_ladder(basis: AuxiliaryBasis, sys: DiffSystem, K: int) -> FormsLadder:
-    """Iterate the update rule and verify the ladder identity on exact
-    truncated series (failure here is an internal bug, not bad input).
+    """The K-row ladder of the auxiliary basis; its rows are built, checked
+    and evaluated only as FormsLadder.row reaches them (failure of a check
+    is an internal bug, not bad input).
 
-    Both run on integers: the rows S_k = lambda^k P_k, and the series
-    N_k = D lambda^k R_{k+1} with D the common denominator of the system's
-    integer columns, for which the identity reads N_{k+1} = lambda T N_k'.
+    Here, before any row past the first, the system's integer columns
+    F_i = D f_i are checked against the system: lambda T F_i' =
+    sum_j (lambda T A)_{i,j} F_j mod z^order.  With the update rule this
+    gives N_{k+1} = lambda T N_k' for every row, built or not.
     """
     if K < 1:
         raise InputError("ladder length must be >= 1")
-    params = extract_params(sys)
-    q = params.q
-    lam = sys.clear_factor
+    q = extract_params(sys).q
     order = basis.achieved_order + K * (q + 1) + 8
     # D R, row 1 of the identity check; InputError for another system
-    _, columns, combo = _remainder_upto(basis, sys, order)
+    _, columns, series = _remainder_upto(basis, sys, order)
+    lam = sys.clear_factor
     lam_t = [lam * c.numerator for c in sys.T.coeffs]
     lam_ta = [[[int(lam * c) for c in p.coeffs] for p in row]
               for row in sys.TA]
-    rows = [basis.int_polys]
-    for _ in range(K - 1):
-        rows.append(_next_row(rows[-1], lam_t, lam_ta))
-    bounds = tuple(basis.n + k * q for k in range(K))
-    for k, row in enumerate(rows):
-        for i, p in enumerate(row):
-            if len(p) - 1 > bounds[k]:
-                raise AssertionError(
-                    f"degree bound violated at ladder row {k + 1}")
-            if len(p) - 1 == bounds[k]:
-                logger.debug("ladder degree bound attained (non-strict) at "
-                             "row %d component %d", k + 1, i + 1)
-    for k in range(1, K):
-        nxt = _combination(rows[k], columns, 0, order + 1)
-        derived = _combination([lam_t], [_derivative(combo)], 0, order)
-        if nxt[:order] != derived:
+    for i, col in enumerate(columns):
+        if (_combination([lam_t], [_derivative(col)], 0, order)
+                != _combination(lam_ta[i], columns, 0, order)):
             raise AssertionError(
-                f"ladder identity failed between rows {k} and {k + 1}")
-        combo = nxt
-    return FormsLadder(K=K, scaled_rows=tuple(rows), degree_bounds=bounds,
-                       n=basis.n, q=q, clear_factor=lam, t_poly=sys.T)
+                f"integer column {i + 1} fails T f' = (T A) f")
+    return FormsLadder(basis, sys, K, q, order, columns, series,
+                       (lam_t, lam_ta))
 
 
-@dataclass(frozen=True)
 class IntegerForms:
     """Ladder rows evaluated at xi and cleared to integers.
 
     Row k is scaled by s_k = den(xi)^(n + k q) * lambda^k, so
-    rows[k][i] = s_k * P_{k,i}(xi) exactly.
+    row(k)[i] = s_k * P_{k,i}(xi) exactly.  A row is evaluated, and built,
+    when row(k) first asks for it; rows evaluates all K.
     """
 
-    rows: tuple[tuple[int, ...], ...]
-    row_scales: tuple[int, ...]
-    xi: Fraction
+    def __init__(self, ladder: FormsLadder, xi: Fraction):
+        self.ladder = ladder
+        self.xi = xi
+        d, lam = xi.denominator, ladder.clear_factor
+        self.row_scales = tuple(d ** bound * lam ** k for k, bound
+                                in enumerate(ladder.degree_bounds))
+        self._values: dict[int, tuple[int, ...]] = {}
+
+    def row(self, k: int) -> tuple[int, ...]:
+        """s_k P_{k,i}(a/d) = sum_j c_j a^j d^(B_k - j) for the integer row
+        lambda^k P_{k,i} = sum_j c_j z^j and B_k = n + k q."""
+        if k not in self._values:
+            a, d = self.xi.numerator, self.xi.denominator
+            bound = self.ladder.degree_bounds[k]
+            vals = []
+            for p in self.ladder.row(k):
+                if len(p) - 1 > bound:
+                    raise AssertionError("denominator clearing failed")
+                vals.append(horner(p, a, d) * d ** (bound - len(p) + 1))
+            self._values[k] = tuple(vals)
+        return self._values[k]
+
+    @property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(self.row(k) for k in range(self.ladder.K))
 
 
 def evaluate_forms(ladder: FormsLadder, xi: Rational) -> IntegerForms:
-    """s_k P_{k,i}(a/d) = sum_j c_j a^j d^(B_k - j) for the integer row
-    lambda^k P_{k,i} = sum_j c_j z^j and B_k = n + k q."""
+    """The ladder's integer forms at xi, each row evaluated on demand."""
     xi = Fraction(xi)
     _check_evaluation_point(ladder.t_poly, xi)
-    a, d = xi.numerator, xi.denominator
-    rows = []
-    scales = []
-    for k, row in enumerate(ladder.scaled_rows):
-        bound = ladder.degree_bounds[k]
-        vals = []
-        for p in row:
-            if len(p) - 1 > bound:
-                raise AssertionError("denominator clearing failed")
-            vals.append(horner(p, a, d) * d ** (bound - len(p) + 1))
-        rows.append(tuple(vals))
-        scales.append(d ** bound * ladder.clear_factor ** k)
-    return IntegerForms(rows=tuple(rows), row_scales=tuple(scales), xi=xi)
+    return IntegerForms(ladder, xi)
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +392,8 @@ def certified_lower_bound(sys: DiffSystem, xi: Rational,
     |sum_i target_i f_i(xi)|, or report NotCertified.
 
     The m-1 form rows are the first ladder rows, in order, that each raise
-    the rank of the target together with the rows already chosen.  The
+    the rank of the target together with the rows already chosen; the
+    ladder is built and evaluated only as far as this choice reaches.  The
     target is nonzero and comes first, so the choice falls short only when
     the K ladder rows have rank below m; then RankDeficientLadder is raised.
 
@@ -372,14 +426,15 @@ def certified_lower_bound(sys: DiffSystem, xi: Rational,
     for k in range(K):
         if len(selected) == m - 1:
             break
-        if rank(chosen + [forms.rows[k]]) > len(chosen):
-            chosen.append(forms.rows[k])
+        row = forms.row(k)
+        if rank(chosen + [row]) > len(chosen):
+            chosen.append(row)
             selected.append(k)
     if len(selected) < m - 1:
         raise RankDeficientLadder(
             f"ladder rows have rank {rank(forms.rows)} < m = {m} at n = {n}")
 
-    matrix = [list(forms.rows[k]) for k in selected] + [list(target)]
+    matrix = [list(forms.row(k)) for k in selected] + [list(target)]
     delta = det_exact(matrix)
     if delta == 0:
         raise AssertionError("selected rows produced a zero determinant")

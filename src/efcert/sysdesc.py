@@ -35,8 +35,9 @@ from .errors import InputError
 logger = logging.getLogger(__name__)
 
 # Size limits on untrusted expressions, checked before any arithmetic: digits
-# of an integer literal, and the degree and coefficient bits of a product or
-# power, predicted from its factors (degrees and bit lengths add).  A rational
+# of an integer literal, the degree and coefficient bits of a product or
+# power, predicted from its factors (degrees and bit lengths add), and the
+# degree of a sum a/b + c/d, predicted as that of (ad + cb)/(bd).  A rational
 # in exponent notation ("1e5", "2.5E-3") has an exponent of at most
 # _MAX_DIGITS in magnitude, checked before Fraction computes its power of ten.
 _MAX_DIGITS = 1000
@@ -96,8 +97,11 @@ def parse_ratfunc(text: str) -> RatFunc:
 def _parse_sum(tok: _Tokenizer) -> RatFunc:
     value = _parse_product(tok)
     while tok.peek() in ("+", "-"):
+        column = tok.pos
         op = tok.take()
         rhs = _parse_product(tok)
+        (a, b), (c, d) = ((f.num.degree, f.denom.degree) for f in (value, rhs))
+        _check_size(tok, column, "sum", max(a + d, c + b, b + d))
         value = value + rhs if op == "+" else value - rhs
     return value
 
@@ -110,11 +114,12 @@ def _size(f: RatFunc) -> tuple[int, int]:
 
 
 def _check_size(tok: _Tokenizer, column: int, what: str, degree: int,
-                bits: int):
+                bits: int = 0):
     if degree > _MAX_DEGREE or bits > _MAX_BITS:
         tok.pos = column
-        tok.error(f"{what} too large: degree {degree} (limit {_MAX_DEGREE}), "
-                  f"{bits} coefficient bits (limit {_MAX_BITS})")
+        tok.error(f"{what} too large: degree {degree} (limit {_MAX_DEGREE})"
+                  + (f", {bits} coefficient bits (limit {_MAX_BITS})"
+                     if bits else ""))
 
 
 def _parse_product(tok: _Tokenizer) -> RatFunc:

@@ -9,17 +9,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from efcert import forms
-from efcert.algebra import Poly, RatFunc, RatSeries, det_exact
-from efcert.auxiliary import _combination, construct, remainder
+from efcert.algebra import Poly, RatFunc, RatSeries, cofactor, det_exact, rank
+from efcert.auxiliary import (_combination, construct, default_eps1,
+                              remainder)
 from efcert.efunction import augment_exp, extract_params, make_system
 from efcert.errors import (ExhaustedN, InputError, RankDeficientLadder,
                            SingularEvaluationPoint)
-from efcert.forms import (adaptive_bound, build_ladder, certified_lower_bound,
-                          evaluate_forms, ladder_length)
+from efcert.forms import (BoundCertificate, adaptive_bound, build_ladder,
+                          certified_lower_bound, evaluate_forms, ladder_length)
 from efcert.efunction import GrowthCertificate
 from efcert.evalcert import eval_component
 
+from conftest import build_j0
 from oracles import linear_form_oracle
+from test_acceptance import _criterion_5_targets
 
 
 # -- references: the Poly/Fraction ladder that the integer rows replace
@@ -100,6 +103,15 @@ def _ladder(sys, n):
     params = extract_params(sys)
     K = ladder_length(sys.m, params.q, params.p, n, basis.eps1)
     return basis, K, build_ladder(basis, sys, K)
+
+
+def dependent_pair():
+    """f1 = f2 = e^z, Q(z)-dependent: no ladder reaches rank 2."""
+    a = ((RatFunc.constant(1), RatFunc.zero()),
+         (RatFunc.zero(), RatFunc.constant(1)))
+    return make_system(a, ((F(1),), (F(1),)),
+                       growth=GrowthCertificate(F(1), F(1)),
+                       exponent_bound={"global": F(0)})
 
 
 class TestLadderLength:
@@ -333,11 +345,7 @@ class TestCertifiedLowerBound:
 class TestAdaptive:
     def test_dependent_pair_exhausts_with_rank_diagnostics(self):
         # f1 = f2 = e^z is Q(z)-dependent: rank can never reach 2
-        a = ((RatFunc.constant(1), RatFunc.zero()),
-             (RatFunc.zero(), RatFunc.constant(1)))
-        dep = make_system(a, ((F(1),), (F(1),)),
-                          growth=GrowthCertificate(F(1), F(1)),
-                          exponent_bound={"global": F(0)})
+        dep = dependent_pair()
         with pytest.raises(ExhaustedN) as info:
             adaptive_bound(dep, 1, (1, -1), n_start=1, n_max=6)
         assert info.value.attempts
@@ -396,3 +404,155 @@ class TestRankAtThreshold:
         ladder = build_ladder(basis, exp_pair, k_len)
         forms = evaluate_forms(ladder, F(1))
         assert rank(forms.rows) == 2
+
+
+# -- the lazy ladder against the certificate of the full one
+
+def ref_certificate(sys, xi, target, n, intervals):
+    """certified_lower_bound on the full ladder: all K rows built and
+    evaluated, then the rows selected in order."""
+    m = sys.m
+    params = extract_params(sys)
+    basis = construct(sys, n)
+    eps1 = basis.eps1
+    K = ladder_length(m, params.q, params.p, n, eps1)
+    ladder = build_ladder(basis, sys, K)
+    assert len(ladder.scaled_rows) == K
+    at = evaluate_forms(ladder, xi)
+    rows = at.rows
+    chosen = [target]
+    selected = []
+    for k in range(K):
+        if len(selected) == m - 1:
+            break
+        if rank(chosen + [rows[k]]) > len(chosen):
+            chosen.append(rows[k])
+            selected.append(k)
+    if len(selected) < m - 1:
+        raise RankDeficientLadder(
+            f"ladder rows have rank {rank(rows)} < m = {m} at n = {n}")
+    matrix = [list(rows[k]) for k in selected] + [list(target)]
+    delta = det_exact(matrix)
+    target_cofs = [cofactor(matrix, m - 1, l) for l in range(m)]
+    ell = max((l for l in range(m) if target_cofs[l]),
+              key=lambda l: (intervals[l].abs_lower(), -l))
+    f_lower = intervals[ell].abs_lower()
+    cutoff = forms._remainder_cutoff(basis, K, max(sys.T.degree, 0),
+                                     sys.growth.C, xi)
+    uppers = forms._scaled_form_upper_bounds(
+        remainder(basis, sys, cutoff), selected, xi, at.row_scales, sys.T)
+    form_cofs = tuple(cofactor(matrix, j, ell) for j in range(m - 1))
+    slack = ((m - 1) * max(abs(c) for c in form_cofs) * max(uppers)
+             if m > 1 else F(0))
+    numerator = f_lower * abs(delta) - slack
+    bound = numerator / abs(target_cofs[ell]) if numerator > 0 else None
+    return BoundCertificate(
+        status=forms.CERTIFIED if bound is not None else forms.NOT_CERTIFIED,
+        n=n, eps1=eps1, xi=xi, target=target,
+        selected_rows=tuple(k + 1 for k in selected), ell=ell, delta=delta,
+        target_cofactor=target_cofs[ell], form_cofactors=form_cofs,
+        row_upper_bounds=uppers, f_ell_lower=f_lower, lower_bound=bound)
+
+
+# The (xi, target) ops of the benchmark's bound_deep grid, on J0.
+BOUND_DEEP_GRID = [
+    ("1/2", (20184959, 78190016)),
+    ("1/2", (1957114438056792, 7581229628729569)),
+    ("1/2", (1485874387333457676604801, 5755797775937679673467204)),
+    ("3/5", (9925921, 31574667)),
+    ("3/5", (498661577914250, 1586258168721771)),
+    ("3/5", (6780810585596324788376303, 21569971817252884213286354)),
+    ("4/7", (20287473, 68067691)),
+    ("4/7", (223440654314934, 749678849344457)),
+    ("4/7", (2021663505637101732337815, 6783001845901801205875993)),
+    ("5/8", (49897845, 151746488)),
+    ("5/8", (2381170423293456, 7241480049173573)),
+    ("5/8", (6402371424008672027811366, 19470527804655187294889789)),
+    ("7/12", (32770190, 107506719)),
+    ("7/12", (115263936133357, 378137801237123)),
+    ("7/12", (4472333582168829872234590, 14672051327517104272326947)),
+    ("9/16", (13884284, 47387605)),
+    ("9/16", (1613952967506149, 5508484680431430)),
+    ("9/16", (1090429611735880285395639, 3721678966034060841890656)),
+]
+
+
+def _equivalence_cases(j0, exp_pair):
+    for x, target in BOUND_DEEP_GRID:
+        yield j0, F(x), target
+    for sys in (exp_pair, j0):
+        for xi in (F(1), F(1, 2)):
+            for target in _criterion_5_targets():
+                yield sys, xi, target
+    yield augment_exp(j0, F(1, 3)), F(1, 2), (2, -5, 3)
+
+
+class TestLazyLadder:
+    """Rows are built, checked and evaluated only as the row selection
+    reaches them."""
+
+    def test_certificates_match_full_ladder(self, j0, exp_pair):
+        # every attempt of the adaptive loop, up to the one that certifies
+        attempts = 0
+        for sys, xi, target in _equivalence_cases(j0, exp_pair):
+            intervals = [eval_component(sys, i, xi, F(1, 2 ** 256))
+                         for i in range(sys.m)]
+            for n in range(1, 41):
+                cert = certified_lower_bound(sys, xi, target, n,
+                                             component_intervals=intervals)
+                assert cert == ref_certificate(sys, xi, target, n,
+                                               intervals), (xi, target, n)
+                attempts += 1
+                if cert.certified:
+                    break
+            assert cert.certified, (xi, target)
+        assert attempts > 200, attempts
+
+    def test_row_one_builds_no_further_row(self, j0, monkeypatch):
+        calls = []
+        next_row = forms._next_row
+        monkeypatch.setattr(forms, "_next_row",
+                            lambda *args: calls.append(1) or next_row(*args))
+        cert = certified_lower_bound(j0, F(1, 2), (20184959, 78190016), 3)
+        assert cert.selected_rows == (1,)
+        assert calls == []
+
+    def test_rank_deficient_ladder_builds_every_row(self, monkeypatch):
+        # f1 = f2 = e^z: the selection passes every row without rank m
+        dep = dependent_pair()
+        params = extract_params(dep)
+        calls = []
+        next_row = forms._next_row
+        monkeypatch.setattr(forms, "_next_row",
+                            lambda *args: calls.append(1) or next_row(*args))
+        for n in (1, 3, 6):
+            calls.clear()
+            with pytest.raises(RankDeficientLadder) as info:
+                certified_lower_bound(dep, 1, (1, -1), n)
+            K = ladder_length(2, params.q, params.p, n, default_eps1(2))
+            assert len(calls) == K - 1
+            with pytest.raises(RankDeficientLadder) as ref:
+                ref_certificate(dep, F(1), (1, -1), n, None)
+            assert str(info.value) == str(ref.value)
+            assert str(info.value).startswith("ladder rows have rank 1 < m")
+
+    def test_rows_past_the_ladder_rejected(self, exp_pair):
+        basis = construct(exp_pair, 1, F(1, 4))
+        ladder = build_ladder(basis, exp_pair, 2)
+        for k in (-1, 2):
+            with pytest.raises(IndexError):
+                ladder.row(k)
+
+    def test_corrupt_column_detected_before_any_row(self, monkeypatch):
+        # one stored Taylor numerator of J0' is off by one: the column check
+        # fails although only row 1 is built, and with K = 1 no identity
+        # between rows runs at all
+        for K, level in itertools.product((1, 4), (2, 12)):
+            sys = build_j0()
+            basis = construct(sys, 3)
+            sys.integer_coefficients(basis.achieved_order + 4 * K + 8)
+            nums = list(sys._nums)
+            nums[level * sys.m + 1] += 1
+            monkeypatch.setattr(sys, "_nums", nums)
+            with pytest.raises(AssertionError, match="integer column"):
+                build_ladder(basis, sys, K)

@@ -79,6 +79,31 @@ class TestExpressionParser:
         assert (f.num.degree, f.denom.degree) == (128, 255)
         assert f(F(0)) == 1 + F(1, 2 ** 127)
 
+    @pytest.mark.parametrize("text, column", [
+        ("1/(z+1)^128+1/(z+2)^128+1/(z+3)^128", 24),
+        ("1/(z+1)^128-1/(z+2)^128-1/(z+3)^128-1/(z+4)^128", 24),
+        ("z^200 + 1/z^57", 7),
+    ], ids=["three_poles", "four_poles", "degree"])
+    def test_oversized_sum_rejected_fast(self, text, column):
+        # predicted before adding: degree of (ad + cb)/(bd) for a/b + c/d.
+        # The three poles took 13.8 s to add without the prediction.
+        t0 = time.perf_counter()
+        with pytest.raises(InputError,
+                           match=f"column {column}: sum too large"):
+            parse_ratfunc(text)
+        assert time.perf_counter() - t0 < 2.0
+
+    @pytest.mark.parametrize("text", [
+        "1/(z+1)^86+1/(z+2)^85+1/(z+3)^85",
+        "+".join(f"1/(z+{i})^32" for i in range(1, 9)),
+        "z^256 - z^255/(1+z)^0",
+    ], ids=["three_poles", "eight_poles", "polynomial"])
+    def test_sums_at_the_degree_budget_parse(self, text):
+        t0 = time.perf_counter()
+        f = parse_ratfunc(text)
+        assert time.perf_counter() - t0 < 8.0
+        assert max(f.num.degree, f.denom.degree) == 256
+
     def test_poly_printer(self):
         assert poly_str(Poly([])) == "0"
         assert poly_str(Poly([-2, 1])) == "z - 2"
