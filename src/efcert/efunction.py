@@ -193,10 +193,6 @@ class DiffSystem:
                                     self._steps[:(order + 1) * m])
         return d, [tuple(flat[i::m]) for i in range(m)]
 
-    def _solved_order(self) -> int:
-        """The highest order the store holds (-1 before the seed probe)."""
-        return len(self._nums) // self.m - 1
-
     def _solve(self, order: int):
         """Solve the coefficient recurrence of T Y' = (T A) Y up to level
         ``order``, resuming the elimination where the last solve stopped.
@@ -351,10 +347,6 @@ class _ExpAugmented(DiffSystem):
         d, columns = self._columns[order]
         return d, list(columns)
 
-    def _solved_order(self) -> int:
-        """The highest order the base's store holds."""
-        return self._base._solved_order()
-
 
 # ---------------------------------------------------------------------------
 # Construction helpers
@@ -419,16 +411,17 @@ def make_system(A: Sequence[Sequence[RatFunc]],
 # Parameter extraction and system transformations
 # ---------------------------------------------------------------------------
 
-_VANISHING_SEARCH_FACTOR = 4
-
-
 def extract_params(sys: DiffSystem) -> SystemParams:
     """Read off (p, q, E) and echo T, once per system.
 
     p is the least level with a nonzero Taylor coefficient in any component,
-    looked for first in the levels the store already holds and only then up
-    to the search limit; if every coefficient vanishes up to that limit the
-    system is reported as identically zero, on every call.
+    and it lies below L, the length of the longest seed.  The recurrence is
+    homogeneous, so every pinned coefficient is a linear combination of seed
+    values: a nonzero seed is itself a nonzero coefficient at a level below
+    L, and if every seed is zero no coefficient is nonzero.  Levels 0..L-1
+    are read from the store the seed probe filled (level 0 alone when there
+    are no seeds), so nothing is solved; all-zero seeds raise
+    AllComponentsZero, on every call.
     """
     if sys._params is not None:
         return sys._params
@@ -438,16 +431,13 @@ def extract_params(sys: DiffSystem) -> SystemParams:
         for entry in row:
             q = max(q, entry.degree)
             e = max(e, entry.max_abs_coeff())
-    limit = _VANISHING_SEARCH_FACTOR * (q + 1) * sys.m + 16
-    _, columns = sys.integer_coefficients(min(sys._solved_order(), limit))
-    if not any(any(col) for col in columns):
-        _, columns = sys.integer_coefficients(limit)
+    _, columns = sys.integer_coefficients(max(1, *map(len, sys.seeds)) - 1)
     for k in range(len(columns[0])):
         if any(col[k] for col in columns):
             sys._params = SystemParams(p=k, q=q, E=e, T=sys.T)
             return sys._params
-    raise AllComponentsZero(
-        f"all components vanish to order {limit}; vanishing order undefined")
+    raise AllComponentsZero("every seed is zero, so every component vanishes "
+                            "identically; vanishing order undefined")
 
 
 def augment_exp(sys: DiffSystem, beta: Rational | int) -> DiffSystem:

@@ -49,25 +49,8 @@ class RatInterval:
     def width(self) -> Fraction:
         return self.hi - self.lo
 
-    def __add__(self, other: "RatInterval") -> "RatInterval":
-        return RatInterval(self.lo + other.lo, self.hi + other.hi)
-
     def __sub__(self, other: "RatInterval") -> "RatInterval":
         return RatInterval(self.lo - other.hi, self.hi - other.lo)
-
-    def __neg__(self) -> "RatInterval":
-        return RatInterval(-self.hi, -self.lo)
-
-    def __mul__(self, other: "RatInterval") -> "RatInterval":
-        ps = (self.lo * other.lo, self.lo * other.hi,
-              self.hi * other.lo, self.hi * other.hi)
-        return RatInterval(min(ps), max(ps))
-
-    def scale(self, c: Rational | int) -> "RatInterval":
-        c = Fraction(c)
-        if c >= 0:
-            return RatInterval(self.lo * c, self.hi * c)
-        return RatInterval(self.hi * c, self.lo * c)
 
     def abs_lower(self) -> Fraction:
         """Exact lower bound for |x| over the interval."""

@@ -226,12 +226,9 @@ class IntegerForms:
         if k not in self._values:
             a, d = self.xi.numerator, self.xi.denominator
             bound = self.ladder.degree_bounds[k]
-            vals = []
-            for p in self.ladder.row(k):
-                if len(p) - 1 > bound:
-                    raise AssertionError("denominator clearing failed")
-                vals.append(horner(p, a, d) * d ** (bound - len(p) + 1))
-            self._values[k] = tuple(vals)
+            # FormsLadder.row checked len(p) - 1 <= bound on every built row
+            self._values[k] = tuple(horner(p, a, d) * d ** (bound + 1 - len(p))
+                                    for p in self.ladder.row(k))
         return self._values[k]
 
     @property
@@ -282,8 +279,11 @@ class BoundCertificate:
 
 
 def _check_evaluation_point(t_poly: Poly, xi: Fraction):
-    """SingularEvaluationPoint unless xi T(xi) != 0."""
-    if xi == 0 or t_poly(xi) == 0:
+    """SingularEvaluationPoint unless xi T(xi) != 0.  T is an integer
+    polynomial (a DiffSystem invariant), so T(a/d) = 0 is tested on the
+    integer d^deg T T(a/d)."""
+    if xi == 0 or horner([c.numerator for c in t_poly.coeffs],
+                         xi.numerator, xi.denominator) == 0:
         raise SingularEvaluationPoint(
             f"xi T(xi) = 0 at xi = {xi}; bound machinery requires a "
             f"nonsingular evaluation point")
@@ -292,7 +292,7 @@ def _check_evaluation_point(t_poly: Poly, xi: Fraction):
 def _operator_tail_sum(rem: RemainderSeries, power: int, xi: Fraction,
                        t_poly: Poly) -> Fraction:
     """Rigorous bound for |(T d/dz)^power applied to the discarded tail of R,
-    evaluated at xi|.
+    evaluated at xi|: twice the first tail term, at mu = cutoff + 1.
 
     One application maps z^mu to mu T z^(mu-1): at most (1+deg T) monomials,
     coefficients bounded by Ehat = max |T coeffs|, exponent shifted into
@@ -302,39 +302,26 @@ def _operator_tail_sum(rem: RemainderSeries, power: int, xi: Fraction,
         G(mu) = (1+deg T)^p Ehat^p prod_{i<p}(mu + i (deg T - 1)) X(mu),
         X(mu) = max(|xi|^(mu-p), |xi|^(mu-p+p deg T)),
 
-    and |tail coeff at mu| <= rem.tail_bound(mu).  The series over mu is
-    closed with a geometric comparison: once mu >= 3*power and
-    2 Chat max(1,|xi|) / (mu+1-n) <= 1/2, consecutive terms at least halve.
+    and |tail coeff at mu| <= rem.tail_bound(mu).  Halving rule: if
+    mu >= 3 power and 4 Chat max(1,|xi|) <= mu + 1 - n, the term at mu + 1
+    is at most half the term at mu.  From mu to mu + 1, tail_bound gains the
+    factor Chat / (mu+1-n), X at most max(1,|xi|), and the product at most
+    (1 + 1/(2 power + 1))^power < 2.  Both conditions then hold at every
+    later mu, so the tail sums to at most twice its first term.
+    _remainder_cutoff places the cutoff where they hold at mu = cutoff + 1;
+    a cutoff that breaks them is an internal error.
     """
-    dt = max(t_poly.degree, 0)
-    e_hat = t_poly.max_abs_coeff()
-    x_abs = abs(xi)
-    x_max = max(Fraction(1), x_abs)
-    pref = (Fraction(1 + dt) * e_hat) ** power
-
-    def g(mu: int) -> Fraction:
-        prod = Fraction(1)
-        for i in range(power):
-            prod *= mu + i * (dt - 1)
-        lo = x_abs ** (mu - power)
-        if dt and x_abs > 1:
-            hi = lo * x_abs ** (power * dt)
-            xf = max(lo, hi)
-        else:
-            xf = lo
-        return pref * prod * xf
-
-    total = Fraction(0)
     mu = rem.cutoff + 1
-    while True:
-        term = rem.tail_bound(mu) * g(mu)
-        total += term
-        ratio_ok = (mu >= 3 * power
-                    and 2 * rem.c_hat * x_max / (mu + 1 - rem.n) <= Fraction(1, 2))
-        if ratio_ok:
-            # terms at least halve from here on: remaining sum <= last term
-            return total + term
-        mu += 1
+    x_abs = abs(xi)
+    if mu < 3 * power or 4 * rem.c_hat * max(1, x_abs) > mu + 1 - rem.n:
+        raise AssertionError(f"remainder cutoff {rem.cutoff} breaks the "
+                             f"halving rule at power {power}")
+    dt = max(t_poly.degree, 0)
+    prod = math.prod(mu + i * (dt - 1) for i in range(power))
+    x_factor = x_abs ** (mu - power + (power * dt if x_abs > 1 else 0))
+    term = (rem.tail_bound(mu) * (Fraction(1 + dt) * t_poly.max_abs_coeff())
+            ** power * prod * x_factor)
+    return 2 * term
 
 
 def _scaled_form_upper_bounds(rem: RemainderSeries, ladder_rows: list[int],
@@ -362,6 +349,12 @@ def _scaled_form_upper_bounds(rem: RemainderSeries, ladder_rows: list[int],
 
 def _remainder_cutoff(basis: AuxiliaryBasis, K: int, t_deg: int,
                       c_hat: Fraction, xi: Fraction) -> int:
+    """The order to which R is kept exact for the U_j of ladder rows below K.
+
+    It is at least n + 25 + 4K + ceil(4 Chat max(1,|xi|)), so mu = cutoff + 1
+    meets the halving rule of _operator_tail_sum at every power below K:
+    mu >= 3K and 4 Chat max(1,|xi|) <= mu + 1 - n.
+    """
     x_max = max(Fraction(1), abs(xi))
     return (max(basis.achieved_order, basis.tau, basis.n + 1)
             + K * (t_deg + 1) + 24 + 3 * K + math.ceil(4 * c_hat * x_max))

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from efcert import efunction
 from efcert.algebra import Poly, RatFunc
@@ -162,6 +162,26 @@ class TestCoefficientStore:
         assert inserted == [(id(base), n, i) for n in range(91 + 1 + 5)
                             for i in range(2)]
 
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(st.builds(F, st.integers(-50, 50), st.integers(1, 20)),
+           st.builds(F, st.integers(-50, 50), st.integers(1, 20)),
+           st.lists(st.integers(0, 40), min_size=1, max_size=6))
+    def test_elimination_fill_in(self, d, c, orders):
+        # A = [[1/z, 1/z], [0, 2/z]]: at each order N >= 3 the equation of
+        # component 2, (N-2) c_{N,2} = 0, is reduced by the stored equation
+        # of component 1, (N-1) c_{N,1} - c_{N,2} = 0, and so gains the
+        # unknown c_{N,1}.  The solution is y1 = d z + c z^2, y2 = c z^2
+        z = Poly.x()
+        a_mat = ((RatFunc(Poly.one(), z), RatFunc(Poly.one(), z)),
+                 (RatFunc.zero(), RatFunc(Poly.constant(2), z)))
+        sys = make_system(a_mat, ((0, d, c), (0, 0, c)))
+        for order in orders:
+            den, columns = sys.integer_coefficients(order)
+            zeros = [F(0)] * order
+            assert [[F(e, den) for e in col] for col in columns] == [
+                ([F(0), d, c] + zeros)[:order + 1],
+                ([F(0), F(0), c] + zeros)[:order + 1]]
+
     @pytest.mark.parametrize("k", [6, 9])
     def test_indicial_root_past_the_seeds(self, k):
         # y' = (k/z) y: the z^L coefficient reads (L - k) c_L = 0, so c_0 = 0
@@ -204,6 +224,11 @@ class TestExtractParams:
         sys = make_system(((RatFunc.constant(1),),), ((F(0),),))
         with pytest.raises(AllComponentsZero):
             extract_params(sys)
+        # no seeds at all: z y' = -y pins every coefficient to 0
+        unseeded = make_system(((RatFunc(Poly.constant(-1), Poly.x()),),),
+                               ((),))
+        with pytest.raises(AllComponentsZero):
+            extract_params(unseeded)
 
     def test_computed_once_per_system(self, monkeypatch):
         # the first call reads the store; later calls read nothing
@@ -222,8 +247,8 @@ class TestExtractParams:
         assert searched and calls == searched
 
     def test_vanishing_search_reads_the_store_first(self, monkeypatch):
-        # a nonzero level among those the seed probe solved needs no solve
-        # to the search limit; only an all-zero store is searched further
+        # p lies below the longest seed, which the seed probe solved, so no
+        # system is solved further, not even one whose seeds are all zero
         solved = []
         solve = DiffSystem._solve
         monkeypatch.setattr(DiffSystem, "_solve", lambda s, order:
@@ -235,10 +260,9 @@ class TestExtractParams:
         probes = list(solved)
         assert extract_params(kummer).p == 0
         assert extract_params(z5).p == 5
-        assert solved == probes
         with pytest.raises(AllComponentsZero):
             extract_params(zero)
-        assert solved == probes + [4 * (0 + 1) * 1 + 16]
+        assert solved == probes
 
     def test_all_zero_raises_on_every_call(self):
         sys = make_system(((RatFunc.constant(1),),), ((F(0),),))
@@ -247,8 +271,8 @@ class TestExtractParams:
             with pytest.raises(AllComponentsZero) as exc:
                 extract_params(sys)
             messages.append(str(exc.value))
-        assert messages == ["all components vanish to order 20; vanishing "
-                            "order undefined"] * 3
+        assert messages == ["every seed is zero, so every component vanishes "
+                            "identically; vanishing order undefined"] * 3
 
     def test_augmented_vanishing_order(self, kummer):
         # z e^z vanishes to order 1 at 0; every augmented system has p = 0
@@ -465,6 +489,25 @@ class TestGrowthCertificates:
                 assert abs(phi) <= cert.C ** (k + 1), (builder, i, k)
                 dens.append(phi.denominator)
                 assert math.lcm(*dens) <= cert.D ** (k + 1), (builder, i, k)
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(st.builds(F, st.integers(-60, 60), st.integers(1, 30)),
+           st.builds(F, st.integers(-60, 60), st.integers(1, 30)))
+    @example(F(7, 2), F(1, 3))
+    @example(F(-5, 2), F(3, 4))
+    @example(F(7, 30), F(1, 7))
+    @example(F(2), F(-1, 2))
+    def test_kummer_bounds_hold_to_k_150(self, a, b):
+        # a outside 0 < a <= b takes the C > 1 branch, and a composite
+        # den(a) the factoring loop
+        assume(not (b.denominator == 1 and b <= 0))
+        cert = efunction.kummer_growth_certificate(a, b)
+        phi, den = F(1), 1
+        for k in range(151):
+            assert abs(phi) <= cert.C ** (k + 1), k
+            den = math.lcm(den, phi.denominator)
+            assert den <= cert.D ** (k + 1), k
+            phi *= (a + k) / (b + k)
 
     def test_certificate_validation(self):
         with pytest.raises(InputError):

@@ -111,24 +111,20 @@ class TestRatIntervalContainment:
     @settings(derandomize=True, max_examples=200, deadline=None)
     @given(intervals, intervals, positions, positions)
     def test_arithmetic(self, a, b, ts, us):
-        add, sub, mul = a + b, a - b, a * b
+        sub = a - b
         for x in points_of(a, ts):
             for y in points_of(b, us):
-                assert add.lo <= x + y <= add.hi
                 assert sub.lo <= x - y <= sub.hi
-                assert mul.lo <= x * y <= mul.hi
 
     @settings(derandomize=True, max_examples=200, deadline=None)
-    @given(intervals, rationals, positions, st.integers(1, 80))
-    def test_scale_and_outward_round(self, a, c, ts, bits):
-        scaled = a.scale(c)
+    @given(intervals, positions, st.integers(1, 80))
+    def test_outward_round(self, a, ts, bits):
         rounded = a.outward_round(bits)
         grid = F(1, 2 ** bits)
         assert rounded.lo.denominator <= 2 ** bits
         assert rounded.hi.denominator <= 2 ** bits
         assert a.lo - grid < rounded.lo and rounded.hi < a.hi + grid
         for x in points_of(a, ts):
-            assert scaled.lo <= c * x <= scaled.hi
             assert rounded.lo <= x <= rounded.hi
 
 
@@ -147,8 +143,6 @@ class TestRatInterval:
         b = RatInterval(F(-1), F(2))
         s = a - b
         assert s.lo == F(1, 3) - 2 and s.hi == F(1, 2) + 1
-        p = a * b
-        assert p.lo <= F(1, 3) * F(-1) and p.hi >= F(1, 2) * 2
 
     def test_outward_round(self):
         iv = RatInterval(F(1, 3), F(1, 3))

@@ -275,6 +275,17 @@ class TestEvaluateForms:
             evaluate_forms(ladder, 0)
 
 
+def tail_majorants(rem, power, xi, t_poly, count):
+    """The first count terms rem.tail_bound(mu) G(mu), mu > cutoff, of the
+    series that _operator_tail_sum bounds, from its docstring's G."""
+    dt, x = t_poly.degree, abs(xi)
+    pref = ((1 + dt) * t_poly.max_abs_coeff()) ** power
+    for mu in range(rem.cutoff + 1, rem.cutoff + 1 + count):
+        prod = math.prod(mu + i * (dt - 1) for i in range(power))
+        x_factor = max(x ** (mu - power), x ** (mu - power + power * dt))
+        yield rem.tail_bound(mu) * pref * prod * x_factor
+
+
 class TestCertifiedLowerBound:
     def test_exp_pair_hand_target(self, exp_pair):
         cert = adaptive_bound(exp_pair, 1, (3, -1), n_max=20)
@@ -340,6 +351,44 @@ class TestCertifiedLowerBound:
 
         assert forms._scaled_form_upper_bounds(rem, rows, xi, scales, aug.T) \
             == tuple(reference(k) for k in rows)
+
+    @pytest.mark.parametrize("xi", [F(3, 2), F(-7, 4)])
+    def test_tail_past_one(self, j0, xi):
+        # |xi| > 1: X(mu) in the tail is |xi|^(mu - p + p deg T)
+        params = extract_params(j0)
+        for target in ((1, 1), (3, -5), (2, 7), (-4, 9)):
+            cert = adaptive_bound(j0, xi, target, n_max=40)
+            oracle = linear_form_oracle("bessel_j0", target, xi)
+            assert cert.certified and cert.lower_bound <= oracle
+            # U_k of every ladder row against R cut 200 orders past the
+            # cutoff, evaluated exactly
+            basis = construct(j0, cert.n)
+            K = ladder_length(j0.m, params.q, params.p, cert.n, basis.eps1)
+            scales = evaluate_forms(build_ladder(basis, j0, K), xi).row_scales
+            cutoff = forms._remainder_cutoff(basis, K, j0.T.degree,
+                                             j0.growth.C, xi)
+            rem = remainder(basis, j0, cutoff)
+            uppers = forms._scaled_form_upper_bounds(rem, list(range(K)), xi,
+                                                     scales, j0.T)
+            assert cert.row_upper_bounds == tuple(
+                uppers[k - 1] for k in cert.selected_rows)
+            longer = remainder(basis, j0, cutoff + 200)
+            poly = Poly(F(c, longer.denominator) for c in longer.numerators)
+            for k in range(K):
+                assert uppers[k] >= scales[k] * abs(poly(xi)), (target, k)
+                poly = j0.T * poly.derivative()
+                # twice the first tail term bounds 200 terms of the series
+                assert forms._operator_tail_sum(rem, k, xi, j0.T) >= sum(
+                    tail_majorants(rem, k, xi, j0.T, 200)), (target, k)
+
+    def test_tail_rejects_a_cutoff_that_breaks_the_halving_rule(self, j0):
+        basis = construct(j0, 4)
+        rem = remainder(basis, j0, basis.achieved_order + 30)
+        forms._operator_tail_sum(rem, 6, F(1, 2), j0.T)
+        with pytest.raises(AssertionError):      # mu < 3 power
+            forms._operator_tail_sum(rem, rem.cutoff, F(1, 2), j0.T)
+        with pytest.raises(AssertionError):      # 4 C |xi| > mu + 1 - n
+            forms._operator_tail_sum(rem, 0, F(rem.cutoff), j0.T)
 
 
 class TestAdaptive:
