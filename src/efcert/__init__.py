@@ -7,8 +7,8 @@ intervals with rational endpoints, integer determinants.  See README.md for
 the pipeline overview and the CLI.
 """
 
-from .algebra import (Poly, RatFunc, RatSeries, Rational, cofactor,
-                      det_exact, kernel_basis)
+from .algebra import (Poly, RatFunc, Rational, cofactor, det_exact,
+                      kernel_basis)
 from .auxiliary import (AuxiliaryBasis, RemainderSeries, construct,
                         default_eps1, remainder, vanishing_order_target)
 from .efunction import (DiffSystem, GrowthCertificate, SystemParams,

@@ -1,33 +1,16 @@
-"""Exact arithmetic substrate: rationals, dense polynomials, rational
-functions, truncated power series, and exact linear algebra.
+"""Exact arithmetic substrate: integer coefficient helpers, polynomials and
+rational functions over Q, and exact linear algebra.
 
-Polynomial and series coefficients are :class:`fractions.Fraction`
-(arbitrary precision, always in lowest terms, positive denominator), so every
-value in the package is exact.  Polynomials are dense coefficient tuples
-indexed by degree; rational functions add as ``Fraction`` does, from the gcd
-of the two denominators.  The series hot loops do not use these classes: they
-run on integers with an explicit denominator and convert to ``Fraction`` once
-per result.  ``DiffSystem.integer_coefficients`` gives the Taylor columns over
-one common denominator from the system's one store of integer numerators
-(``prefix_numerators``), solved into to exactly the order asked by one
-resumed elimination of the recurrence; ``DiffSystem.coefficients`` is the
-store's ``Fraction`` view, and a system with exp(beta z) adjoined puts its
-base's columns next to the closed form ``exp_numerators``.  ``auxiliary``
-finds the vanishing kernel from an order basis of those columns and forms the
-remainder from them by integer multiply-adds (one pass over a column slice
-per nonzero polynomial coefficient), ``forms`` builds, checks and evaluates
-the ladder on integer rows, and ``evalcert`` sums each Taylor enclosure with
-one integer ``horner``.  The linear algebra runs on integers: each row's
-denominators are cleared once (integer rows are only made primitive), and a
-single fraction-free Gauss-Jordan elimination serves both the kernel and the
-rank, while determinants use Bareiss elimination.  ``auxiliary`` also runs
-``kernel_basis`` twice to put its order-basis span into the canonical basis:
-once on the span read right to left, whose kernel gives the reduced row
-echelon rows of the vanishing matrix, and once on those rows, which need no
-row operations.  It is
-deliberately small and deterministic: first-nonzero pivoting in row-major
-order, kernel vectors scaled to primitive integer vectors with a positive
-leading entry, so repeated runs produce identical output.
+Coefficients are ``fractions.Fraction`` (lowest terms, positive denominator)
+or integers, never floats.  ``prefix_numerators``, ``common_numerators`` and
+``exp_numerators`` put runs of coefficients over one common denominator, and
+``horner`` evaluates an integer polynomial at a/d as an integer.  ``Poly`` is
+an immutable dense coefficient tuple indexed by degree; ``RatFunc`` a reduced
+quotient of two.  The linear algebra clears each row's denominators once:
+one fraction-free Gauss-Jordan elimination serves ``kernel_basis`` and
+``rank``, and ``det_exact`` and ``cofactor`` use Bareiss elimination.
+Pivoting is first-nonzero in row-major order and kernel vectors are primitive
+with a positive leading entry, so repeated runs give identical output.
 """
 
 from __future__ import annotations
@@ -394,100 +377,6 @@ class RatFunc:
 
     def __repr__(self) -> str:
         return f"RatFunc({self.num!r}, {self.denom!r})"
-
-
-# ---------------------------------------------------------------------------
-# Truncated power series
-# ---------------------------------------------------------------------------
-
-class RatSeries:
-    """Exact power series truncation: coefficients c_0..c_N.
-
-    Arithmetic between two series truncates to the smaller order, so a result
-    never pretends to know more coefficients than its inputs.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Iterable[Rational | int]):
-        object.__setattr__(
-            self, "coeffs", tuple(Fraction(c) for c in coeffs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RatSeries is immutable")
-
-    @classmethod
-    def _of(cls, coeffs: tuple[Fraction, ...]) -> "RatSeries":
-        """A series on a tuple that holds Fractions already, unconverted."""
-        series = object.__new__(cls)
-        object.__setattr__(series, "coeffs", coeffs)
-        return series
-
-    @property
-    def order(self) -> int:
-        """Largest index with a known coefficient."""
-        return len(self.coeffs) - 1
-
-    def coefficient(self, k: int) -> Fraction:
-        if not 0 <= k <= self.order:
-            raise IndexError(f"coefficient {k} beyond truncation {self.order}")
-        return self.coeffs[k]
-
-    def truncate(self, order: int) -> "RatSeries":
-        if order > self.order:
-            raise ValueError("cannot extend a truncation")
-        return RatSeries._of(self.coeffs[:order + 1])
-
-    def __add__(self, other: "RatSeries") -> "RatSeries":
-        n = min(self.order, other.order)
-        return RatSeries._of(tuple(self.coeffs[k] + other.coeffs[k]
-                                   for k in range(n + 1)))
-
-    def __mul__(self, other: "RatSeries") -> "RatSeries":
-        n = min(self.order, other.order)
-        out = [Fraction(0)] * (n + 1)
-        for i in range(n + 1):
-            a = self.coeffs[i]
-            if a == 0:
-                continue
-            for j in range(n + 1 - i):
-                b = other.coeffs[j]
-                if b:
-                    out[i + j] += a * b
-        return RatSeries._of(tuple(out))
-
-    def mul_poly(self, p: Poly) -> "RatSeries":
-        """Product with an exact polynomial; keeps this truncation order."""
-        n = self.order
-        out = [Fraction(0)] * (n + 1)
-        for j, b in enumerate(p.coeffs):
-            if b == 0 or j > n:
-                continue
-            for i in range(n + 1 - j):
-                a = self.coeffs[i]
-                if a:
-                    out[i + j] += a * b
-        return RatSeries._of(tuple(out))
-
-    def derivative(self) -> "RatSeries":
-        if self.order < 0:
-            return self
-        return RatSeries._of(tuple(k * self.coeffs[k]
-                                   for k in range(1, self.order + 1)))
-
-    def valuation(self) -> int | None:
-        """Index of the first nonzero known coefficient, None if all vanish
-        up to the truncation order."""
-        for k, c in enumerate(self.coeffs):
-            if c:
-                return k
-        return None
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, RatSeries) and self.coeffs == other.coeffs
-
-    def __repr__(self) -> str:
-        return f"RatSeries({list(self.coeffs)!r})"
 
 
 # ---------------------------------------------------------------------------

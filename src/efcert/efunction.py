@@ -25,11 +25,12 @@ from finitely many coefficients: catalog entries carry closed-form arguments
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .algebra import (Poly, RatFunc, RatSeries, Rational, common_numerators,
+from .algebra import (Poly, RatFunc, Rational, common_numerators,
                       exp_numerators, prefix_numerators)
 from .errors import (AllComponentsZero, InconsistentSeeds, InputError,
                      UnderdeterminedSeeds)
@@ -66,6 +67,34 @@ class SystemParams:
     q: int
     E: Fraction
     T: Poly
+
+
+EXPONENT_BOUND_NAMES = ("global", "infinity", "irrational")
+
+
+def _exponent_bounds(bounds: dict | None) -> dict[str, Fraction] | None:
+    """exponent_bound with canonical keys: the names above as given, and a
+    rational point as str(Fraction), so "0.5" and "2/4" become the "1/2" that
+    exponent_data looks up.  Any other key, or two keys for one point, is an
+    InputError; so is exponent notation, lest a short key ask for 10^(10^9)."""
+    if bounds is None:
+        return None
+    out = {}
+    for key, val in bounds.items():
+        text = str(key)
+        if text not in EXPONENT_BOUND_NAMES:
+            try:
+                if not re.fullmatch(r"[-+0-9./ ]+", text):
+                    raise ValueError
+                text = str(Fraction(text))
+            except (ValueError, ZeroDivisionError):
+                raise InputError(
+                    f"exponent_bound key {key!r} is neither a rational point "
+                    f"nor one of {', '.join(EXPONENT_BOUND_NAMES)}") from None
+        if text in out:
+            raise InputError(f"exponent_bound names the point {text} twice")
+        out[text] = Fraction(val)
+    return out
 
 
 class DiffSystem:
@@ -118,9 +147,7 @@ class DiffSystem:
         self.seeds = tuple(tuple(Fraction(c) for c in row) for row in seeds)
         self.labels = tuple(str(s) for s in labels)
         self.growth = growth
-        self.exponent_bound = (None if exponent_bound is None
-                               else {str(k): Fraction(v)
-                                     for k, v in exponent_bound.items()})
+        self.exponent_bound = _exponent_bounds(exponent_bound)
         self.clear_factor = math.lcm(*(
             c.denominator for row in self.TA for p in row for c in p.coeffs))
         # prefix_numerators of the coefficients in level order (level k,
@@ -163,12 +190,11 @@ class DiffSystem:
 
     # -- Taylor coefficients --------------------------------------------------
 
-    def coefficients(self, order: int) -> list[RatSeries]:
-        """Exact Taylor coefficients (phi_{k,i}/k!) up to the given order for
-        every component: integer_coefficients(order) as Fractions."""
+    def coefficients(self, order: int) -> list[tuple[Fraction, ...]]:
+        """Exact Taylor coefficients (phi_{k,i}/k!) for k = 0..order, one
+        tuple per component: integer_coefficients(order) as Fractions."""
         d, columns = self.integer_coefficients(order)
-        return [RatSeries._of(tuple(Fraction(c, d) for c in col))
-                for col in columns]
+        return [tuple(Fraction(c, d) for c in col) for col in columns]
 
     def integer_coefficients(self, order: int
                              ) -> tuple[int, list[tuple[int, ...]]]:
@@ -475,13 +501,9 @@ def rescale(sys: DiffSystem, xi: Rational | int) -> DiffSystem:
                                    sys.growth.D * xi.denominator,
                                    sys.growth.provenance)
     bound = None
-    if sys.exponent_bound is not None:
-        bound = {}
-        for key, val in sys.exponent_bound.items():
-            if key in ("global", "infinity"):
-                bound[key] = val
-            else:
-                bound[str(Fraction(key) / xi)] = val
+    if sys.exponent_bound is not None:     # a point r moves to r / xi
+        bound = {k if k in EXPONENT_BOUND_NAMES else Fraction(k) / xi: v
+                 for k, v in sys.exponent_bound.items()}
     return DiffSystem(new_a, new_t, new_seeds, labels=sys.labels,
                       growth=growth, exponent_bound=bound)
 

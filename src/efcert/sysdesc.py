@@ -284,9 +284,8 @@ def system_from_dict(doc: dict, origin: str = "<dict>") -> DiffSystem:
 
     if not isinstance(doc, dict):
         raise InputError(f"{origin}: top level must be a JSON object")
-    try:
-        m = int(doc["m"])
-    except (KeyError, TypeError, ValueError, OverflowError):
+    m = doc.get("m")
+    if isinstance(m, bool) or not isinstance(m, int):
         raise InputError(f"{origin}: field 'm': missing or not an integer")
     raw_a = doc.get("A")
     if (not isinstance(raw_a, list) or len(raw_a) != m

@@ -1,11 +1,15 @@
-"""Independent high-precision oracles for the test suite.
+"""Independent references for the test suite.
 
-Everything here evaluates by direct summation of the defining series with
+The value oracles evaluate by direct summation of the defining series with
 mpmath at an explicit working precision, deliberately sharing no code with
 the package (which is pure rational arithmetic).  Conversions to Fraction
 are exact (binary mantissa and exponent), so oracle comparisons against the
 package's exact rationals introduce no parsing error beyond the oracle's own
 truncation.
+
+ref_combination forms exact series sums with ``Poly``, the package's
+Fraction polynomial, and shares nothing with the integer multiply-adds of
+``auxiliary._combination`` that it checks.
 """
 
 from __future__ import annotations
@@ -13,6 +17,22 @@ from __future__ import annotations
 from fractions import Fraction
 
 import mpmath
+
+from efcert.algebra import Poly
+
+
+def ref_combination(polys, series, start, stop) -> list[Fraction]:
+    """Coefficients start..stop-1 of sum_i P_i s_i, each product formed as
+    a Poly: P_i (a Poly or a coefficient sequence) times s_i cut to orders
+    0..stop-1, which s_i must cover."""
+    total = Poly.zero()
+    for p, s in zip(polys, series):
+        if len(s) < stop:
+            raise ValueError(f"series known to order {len(s) - 1}, "
+                             f"not {stop - 1}")
+        p = p if isinstance(p, Poly) else Poly(p)
+        total = total + p * Poly(s[:stop])
+    return [total.coefficient(k) for k in range(start, stop)]
 
 
 def mpf_to_fraction(x) -> Fraction:

@@ -38,7 +38,7 @@ from efcert.logmeasure import LogConfig, measure_scan
 from efcert.zeroestimate import n0_bound, n0_for_system
 
 from conftest import build_exp_pair, build_j0, build_kummer
-from oracles import linear_form_oracle, log_distance_oracle
+from oracles import linear_form_oracle, log_distance_oracle, ref_combination
 
 _REPORTS: dict[str, str] = {}
 
@@ -91,10 +91,8 @@ def _run_criterion_2() -> tuple[str, float]:
         for n in range(2, 25):
             basis = construct(sys, n)
             series = sys.coefficients(basis.tau - 1)
-            combo = series[0].mul_poly(basis.polys[0])
-            for p, s in zip(basis.polys[1:], series[1:]):
-                combo = combo + s.mul_poly(p)
-            assert combo.valuation() is None, (name, n)   # zero through tau-1
+            assert ref_combination(basis.polys, series, 0, basis.tau) \
+                == [0] * basis.tau, (name, n)             # zero through tau-1
             assert basis.achieved_order >= basis.tau, (name, n)
             rows.append({"system": name, "n": n, "tau": basis.tau,
                          "achieved": basis.achieved_order,
@@ -129,17 +127,13 @@ def _run_criterion_3() -> tuple[str, float]:
                     assert p.degree <= n + k * params.q, (name, n, k)
             order = basis.achieved_order + k_len * (params.q + 1) + 8
             series = sys.coefficients(order)
-            combos = []
-            for row in ladder.rows:
-                acc = series[0].mul_poly(row[0])
-                for p, s in zip(row[1:], series[1:]):
-                    acc = acc + s.mul_poly(p)
-                combos.append(acc)
+            combos = [ref_combination(row, series, 0, order + 1)
+                      for row in ladder.rows]
             for k in range(k_len - 1):
-                derived = combos[k].derivative().mul_poly(sys.T)
-                upto = min(derived.order, combos[k + 1].order)
-                assert combos[k + 1].truncate(upto) == derived.truncate(upto), \
-                    (name, n, k)
+                # R_{k+2} = T R_{k+1}' through z^(order-1)
+                derivative = [j * c for j, c in enumerate(combos[k])][1:]
+                derived = ref_combination([sys.T], [derivative], 0, order)
+                assert combos[k + 1][:order] == derived, (name, n, k)
             rows.append({"system": name, "n": n, "K": k_len,
                          "max_deg": max(p.degree for r in ladder.rows
                                         for p in r)})

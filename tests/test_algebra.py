@@ -9,9 +9,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from efcert import auxiliary
-from efcert.algebra import (Poly, RatFunc, RatSeries, cofactor,
-                            common_numerators, det_exact, exp_numerators,
-                            kernel_basis, prefix_numerators, rank)
+from efcert.algebra import (Poly, RatFunc, cofactor, common_numerators,
+                            det_exact, exp_numerators, kernel_basis,
+                            prefix_numerators, rank)
 from efcert.sysdesc import catalog_file, parse_system
 
 
@@ -506,19 +506,3 @@ class TestRatFunc:
             assert (total.num, total.denom) == (ref.num, ref.denom)
             if ref.is_zero():
                 assert total == RatFunc.zero()
-
-
-class TestRatSeries:
-    def test_truncating_arithmetic(self):
-        a = RatSeries([1, 1, 1, 1])
-        b = RatSeries([1, 2])
-        assert (a + b).order == 1
-        assert (a * b).coeffs == (F(1), F(3))
-
-    def test_mul_poly_keeps_order(self):
-        s = RatSeries([1, 0, 0, 0])
-        assert s.mul_poly(Poly([0, 1])).coeffs == (F(0), F(1), F(0), F(0))
-
-    def test_valuation(self):
-        assert RatSeries([0, 0, 3]).valuation() == 2
-        assert RatSeries([0, 0]).valuation() is None

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import math
-import operator
 from fractions import Fraction as F
 
 import pytest
@@ -17,36 +16,12 @@ from efcert.forms import (build_ladder, certified_lower_bound, evaluate_forms,
                           ladder_length)
 
 from conftest import build_j0
-
-
-def ref_remainder_coefficient(polys, series, k):
-    """The coefficient of z^k in R = sum_i P_i f_i, one Fraction term at a
-    time: the loop that the shared remainder coefficients replace."""
-    acc = F(0)
-    for p, s in zip(polys, series):
-        for j, b in enumerate(p.coeffs):
-            if b and j <= k:
-                acc += b * s.coefficient(k - j)
-    return acc
+from oracles import ref_combination
 
 
 def fractions(rem):
     """The remainder's coefficients as Fractions."""
     return [F(c, rem.denominator) for c in rem.numerators]
-
-
-def ref_combination(polys, columns, start, stop):
-    """The integer combination as it was before the multiply-add form:
-    a slice-and-sum dot product per output coefficient."""
-    out = []
-    for k in range(start, stop):
-        acc = 0
-        for p, col in zip(polys, columns):
-            lo = max(0, k + 1 - len(p))
-            # p[k - lo], p[k - lo - 1], ... against col[lo], col[lo + 1], ...
-            acc += sum(map(operator.mul, p[k - lo::-1], col[lo:k + 1]))
-        out.append(acc)
-    return out
 
 
 # zeros, small integers and negative or positive integers of several limbs
@@ -110,11 +85,9 @@ class TestConstruct:
         basis = construct(j0, 2, F(1, 4))
         assert basis.tau == 5
         assert basis.achieved_order >= 5
-        series = j0.coefficients(12)
-        combo = series[0].mul_poly(basis.polys[0]) \
-            + series[1].mul_poly(basis.polys[1])
-        for k in range(min(basis.achieved_order, 13)):
-            assert combo.coefficient(k) == 0
+        stop = min(basis.achieved_order, 13)
+        assert ref_combination(basis.polys, j0.coefficients(12), 0, stop) \
+            == [0] * stop
 
     def test_primitive_concatenated_vector(self, j0):
         basis = construct(j0, 3)
@@ -132,7 +105,7 @@ class TestConstruct:
 
 
 class TestCombination:
-    """auxiliary._combination against the dot-product form it replaced."""
+    """auxiliary._combination against the Poly reference."""
 
     @settings(derandomize=True, max_examples=200, deadline=None)
     @given(combination_cases())
@@ -210,8 +183,7 @@ class TestSharedRemainder:
             basis = construct(sys, n)
             cutoff = max(basis.tau, basis.achieved_order) + 6
             series = sys.coefficients(cutoff)
-            ref = [ref_remainder_coefficient(basis.polys, series, k)
-                   for k in range(cutoff + 1)]
+            ref = ref_combination(basis.polys, series, 0, cutoff + 1)
             d, nums = basis._r
             assert len(nums) == basis.achieved_order + 1
             assert [F(c, d) for c in nums] == ref[:len(nums)]

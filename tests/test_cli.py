@@ -137,6 +137,102 @@ class TestLogboundCommand:
         oracle = log_distance_oracle("bessel_j0", F(1), -1, 4)
         assert bound <= oracle
 
+    def test_irrational_key_at_a_rescaled_point(self, capsys, tmp_path):
+        # rescale carries the irrational key over as it does global and
+        # infinity; it used to parse it as a point and crash
+        doc = json.loads(catalog_file("bessel_j0").read_text())
+        doc["exponent_bound"] = {"irrational": "3", "infinity": "2", "0": "1"}
+        path = tmp_path / "j0_irrational_key.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, _ = run_cli(capsys, "logbound", str(path), "--xi", "1/2",
+                               "--approx", "-1/8")
+        assert code == 0
+        bound = F(json.loads(out)["result"]["bound"])
+        assert 0 < bound <= log_distance_oracle("bessel_j0", F(1, 2), -1, 8)
+
+    def test_both_routes_fail_exits_2(self, capsys, tmp_path):
+        # f = e^z and the approximation 1 = ln f(1) exactly: no interval
+        # separates f(1) from e^1, and n_max 2 exhausts the forms route
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps({
+            "m": 1, "A": [["1"]], "T": "1", "seeds": [["1"]],
+            "growth": {"C": "1", "D": "1"},
+            "exponent_bound": {"global": "0"}}), encoding="utf-8")
+        code, out, _ = run_cli(capsys, "logbound", str(path), "--xi", "1",
+                               "--approx", "1", "--n-max", "2")
+        assert code == 2
+        doc = json.loads(out)
+        assert doc["status"] == "exhausted_n"
+        assert doc["error"] == ("forms route exhausted and interval route "
+                                "cannot separate f(1) from exp(1) at 1024 "
+                                "bits")
+
+
+class TestLowPrecisionLogMeasure:
+    """At 2 bits, J0(12/5) ~ 0.0025 and e^-6 ~ 0.0025 are told apart
+    neither from 0 nor from each other: f(xi) doubles its bits until its
+    enclosure is positive, and the interval route doubles them until the
+    two enclosures separate.  Every bound lies below the oracle."""
+
+    XI = F(12, 5)
+
+    @staticmethod
+    def record_enclosures(monkeypatch):
+        """("value", bits) per enclosure of f(xi) asked for and ("exp",
+        width) per enclosure of e^beta, in call order."""
+        calls = []
+        value, eval_exp = logmeasure._PointState.value, logmeasure.eval_exp
+
+        def recording_value(state, bits):
+            calls.append(("value", bits))
+            return value(state, bits)
+
+        def recording_exp(beta, width):
+            calls.append(("exp", width))
+            return eval_exp(beta, width)
+
+        monkeypatch.setattr(logmeasure._PointState, "value", recording_value)
+        monkeypatch.setattr(logmeasure, "eval_exp", recording_exp)
+        return calls
+
+    def test_logbound_refines_both_enclosures(self, capsys, monkeypatch):
+        calls = self.record_enclosures(monkeypatch)
+        code, out, _ = run_cli(capsys, "logbound", "bessel_j0", "--xi",
+                               "12/5", "--approx", "-6", "--precision", "2")
+        assert code == 0
+        result = json.loads(out)["result"]
+        first_exp = calls.index(("exp", F(1, 4)))
+        assert calls[0] == ("value", 2)
+        assert ("value", 4) in calls[:first_exp]       # positivity doubling
+        assert ("exp", F(1, 16)) in calls[first_exp:]  # separation doubling
+        assert F(result["f_value"]["lo"]) > 0
+        bound = F(result["bound"])
+        assert 0 < bound <= log_distance_oracle("bessel_j0", self.XI, -6, 1)
+
+    def test_scan_rows_below_the_oracle(self, capsys, tmp_path, monkeypatch):
+        results = []
+        lower_bound = logmeasure.log_lower_bound
+
+        def recording(*args, **kwargs):
+            results.append(lower_bound(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(logmeasure, "log_lower_bound", recording)
+        out_csv = tmp_path / "scan.csv"
+        code, _, _ = run_cli(capsys, "scan", "bessel_j0", "--xi", "12/5",
+                             "--bmax", "2", "--window", "1",
+                             "--precision", "2", "--csv", str(out_csv))
+        assert code == 0
+        rows = [line.split(",")
+                for line in out_csv.read_text().splitlines()[1:]]
+        assert [(r[0], r[1]) for r in rows] == \
+            [("1", "-6"), ("1", "-5"), ("2", "-13"), ("2", "-11")]
+        for b, a, bound, *_ in rows:
+            assert 0 < F(bound) <= log_distance_oracle(
+                "bessel_j0", self.XI, int(a), int(b))
+        # a row whose enclosures leave |f - e^beta| < f/2 undecided
+        assert None in [r.half_value_guard for r in results]
+
 
 class TestScanCommand:
     def test_csv_columns_and_rows(self, capsys, tmp_path):

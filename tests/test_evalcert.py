@@ -54,7 +54,7 @@ def ref_eval_exp(r, width):
 
 
 def ref_eval_component(sys, i, x, width):
-    return ref_taylor_enclosure(lambda n: sys.coefficients(n)[i].coeffs,
+    return ref_taylor_enclosure(lambda n: sys.coefficients(n)[i],
                                 F(sys.growth.C), F(x), F(width))
 
 

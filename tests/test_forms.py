@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from efcert import forms
-from efcert.algebra import Poly, RatFunc, RatSeries, cofactor, det_exact, rank
+from efcert.algebra import Poly, RatFunc, cofactor, det_exact, rank
 from efcert.auxiliary import (_combination, construct, default_eps1,
                               remainder)
 from efcert.efunction import augment_exp, extract_params, make_system
@@ -21,7 +21,7 @@ from efcert.efunction import GrowthCertificate
 from efcert.evalcert import eval_component
 
 from conftest import build_j0
-from oracles import linear_form_oracle
+from oracles import linear_form_oracle, ref_combination
 from test_acceptance import _criterion_5_targets
 
 
@@ -41,15 +41,6 @@ def ref_ladder_rows(basis, sys, K):
             nxt.append(acc)
         rows.append(tuple(nxt))
     return rows
-
-
-def ref_combination(polys, series, start, stop):
-    """Coefficients start..stop-1 of sum_i P_i s_i, one Fraction term at a
-    time, for Poly P_i and RatSeries s_i known to order stop-1."""
-    return [sum((b * s.coeffs[k - j] for p, s in zip(polys, series)
-                 for j, b in enumerate(p.coeffs[:k + 1])
-                 if b and s.coeffs[k - j]), F(0))
-            for k in range(start, stop)]
 
 
 def ref_mul(a, b):
@@ -148,21 +139,17 @@ class TestBuildLadder:
         ladder = build_ladder(basis, j0, k_len)
         order = basis.achieved_order + k_len * 2 + 8
         series = j0.coefficients(order)
-        combos = []
-        for row in ladder.rows:
-            acc = series[0].mul_poly(row[0])
-            for p, s in zip(row[1:], series[1:]):
-                acc = acc + s.mul_poly(p)
-            combos.append(acc)
+        combos = [ref_combination(row, series, 0, order + 1)
+                  for row in ladder.rows]
         for k in range(k_len - 1):
-            derived = combos[k].derivative().mul_poly(j0.T)
-            upto = min(derived.order, combos[k + 1].order)
-            assert combos[k + 1].truncate(upto) == derived.truncate(upto)
+            derivative = [j * c for j, c in enumerate(combos[k])][1:]
+            derived = ref_combination([j0.T], [derivative], 0, order)
+            assert combos[k + 1][:order] == derived
 
 
 class TestIntegerLadder:
     """The ladder is built, checked and evaluated on integer rows; these
-    compare it with the Poly/Fraction references above."""
+    compare it with ref_ladder_rows and oracles.ref_combination."""
 
     @pytest.mark.parametrize("name", LADDER_SYSTEMS)
     def test_rows_and_series_match_reference(self, name, ladder_systems):
@@ -205,13 +192,12 @@ class TestIntegerLadder:
     def test_combination_matches_fraction_reference(self, case):
         coeffs, cols, start = case
         polys = [Poly(c) for c in coeffs]
-        series = [RatSeries(c) for c in cols]
         lam = math.lcm(*(c.denominator for p in polys for c in p.coeffs))
         d = math.lcm(*(c.denominator for col in cols for c in col))
         ints = [[int(c * lam) for c in p.coeffs] for p in polys]
         columns = [[int(c * d) for c in col] for col in cols]
         got = [F(v, lam * d) for v in _combination(ints, columns, start, 9)]
-        assert got == ref_combination(polys, series, start, 9)
+        assert got == ref_combination(polys, cols, start, 9)
 
 
 class TestIntegerProducts:

@@ -217,6 +217,15 @@ class TestSystemFiles:
         with pytest.raises(InputError, match="'m'"):
             parse_system(p)
 
+    @pytest.mark.parametrize("m", [1.5, 1.0, True, "1", None])
+    def test_non_integer_m_rejected(self, m):
+        # int() read 1.5 as 1; None stands for a missing m
+        doc = {"m": m, "A": [["1"]], "seeds": [["1"]]}
+        if m is None:
+            del doc["m"]
+        with pytest.raises(InputError, match="'m'"):
+            system_from_dict(doc)
+
     @pytest.mark.parametrize("field", ["seeds", "growth", "exponent_bound"])
     def test_large_exponent_notation_rejected(self, field):
         # Fraction evaluates the power of ten first: 1e999999999 would be an

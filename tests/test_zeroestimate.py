@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from efcert import cli
 from efcert.algebra import Poly, RatFunc
-from efcert.efunction import augment_exp, catalog, make_system
+from efcert.efunction import augment_exp, catalog, make_system, rescale
 from efcert.errors import (InputError, IrregularSingularPoint,
                            MissingExponentBound)
 from efcert.sysdesc import system_from_dict
@@ -213,6 +213,77 @@ class TestFinitePoles:
             indicial_exponents(sys, F(2, 3))
         with pytest.raises(MissingExponentBound):
             exponent_data(sys)
+
+
+class TestExponentBoundKeys:
+    """exponent_bound keys are canonical from the moment the system is
+    built: a point in any spelling is the str(Fraction) that exponent_data
+    looks up, and the names global, infinity and irrational stay."""
+
+    HALF = {"m": 1, "A": [["1/(2*z-1)^2"]], "seeds": [["1"]],
+            "growth": {"C": "4", "D": "4"}}
+
+    @pytest.mark.parametrize("key", ["1/2", "0.5", "2/4", "+.5", " 1/2 "])
+    def test_point_spellings(self, key):
+        # the double pole at 1/2 is irregular, so its bound is the user's
+        sys = system_from_dict({**self.HALF,
+                                "exponent_bound": {key: "3", "infinity": "0"}})
+        assert sys.exponent_bound == {"1/2": 3, "infinity": 0}
+        assert n0_for_system(sys).value == 42
+
+    def test_names_stay(self):
+        bound = {"global": F(1), "infinity": F(2), "irrational": F(3)}
+        sys = system_from_dict({**self.HALF, "exponent_bound": {
+            k: str(v) for k, v in bound.items()}})
+        assert sys.exponent_bound == bound
+
+    @pytest.mark.parametrize("bound", [
+        {"foo": "1"}, {"Infinity": "1"}, {"": "1"}, {"1e3": "1"},
+        {"1e999999999": "1"}, {"1/0": "1"}, {"1/2/3": "1"},
+        {"0.5": "1", "1/2": "2"}])
+    def test_other_keys_rejected(self, bound):
+        with pytest.raises(InputError, match="exponent_bound"):
+            system_from_dict({**self.HALF, "exponent_bound": bound})
+
+    def test_other_key_exits_3(self, capsys, tmp_path):
+        path = tmp_path / "word_key.json"
+        path.write_text(json.dumps({**self.HALF,
+                                    "exponent_bound": {"irrationals": "1"}}))
+        assert cli.main(["params", str(path)]) == 3
+        assert capsys.readouterr().err == (
+            "error: exponent_bound key 'irrationals' is neither a rational "
+            "point nor one of global, infinity, irrational\n")
+
+
+class TestIrrationalRoots:
+    """T = z^2 - 2 has no rational root: exponent_data gives it one entry,
+    "irrational", whose bound only the table can supply.  Infinity is an
+    ordinary point."""
+
+    DOC = {"m": 1, "A": [["1/(z^2-2)"]], "seeds": [["1"]]}
+
+    def test_missing_bound_names_irrational(self):
+        with pytest.raises(MissingExponentBound, match="'irrational'"):
+            exponent_data(system_from_dict(self.DOC))
+
+    @pytest.mark.parametrize("key", ["irrational", "global"])
+    def test_user_entry(self, key):
+        sys = system_from_dict({**self.DOC, "exponent_bound": {key: "7/2"}})
+        first, last = exponent_data(sys).entries
+        assert (first.point, first.kind, first.data, first.modulus) == \
+            ("irrational", "user", None, F(7, 2))
+        assert (last.point, last.kind) == (INFINITY, "ordinary")
+        assert exponent_data(sys).ceiling == 4
+
+    @pytest.mark.parametrize("xi", [F(1, 2), F(-3), F(5, 7)])
+    def test_entry_survives_rescale(self, xi):
+        sys = system_from_dict({**self.DOC,
+                                "exponent_bound": {"irrational": "7/2"}})
+        scaled = rescale(sys, xi)
+        assert scaled.exponent_bound == {"irrational": F(7, 2)}
+        first, _ = exponent_data(scaled).entries
+        assert (first.point, first.kind, first.modulus) == \
+            ("irrational", "user", F(7, 2))
 
 
 def _entry(a, e, k, n0, q):
