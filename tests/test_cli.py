@@ -176,10 +176,9 @@ class TestLowPrecisionLogMeasure:
 
     XI = F(12, 5)
 
-    @staticmethod
-    def record_enclosures(monkeypatch):
-        """("value", bits) per enclosure of f(xi) asked for and ("exp",
-        width) per enclosure of e^beta, in call order."""
+    def test_logbound_refines_both_enclosures(self, capsys, monkeypatch):
+        # ("value", bits) per enclosure of f(xi) asked for and ("exp",
+        # width) per enclosure of e^beta, in call order
         calls = []
         value, eval_exp = logmeasure._PointState.value, logmeasure.eval_exp
 
@@ -193,10 +192,6 @@ class TestLowPrecisionLogMeasure:
 
         monkeypatch.setattr(logmeasure._PointState, "value", recording_value)
         monkeypatch.setattr(logmeasure, "eval_exp", recording_exp)
-        return calls
-
-    def test_logbound_refines_both_enclosures(self, capsys, monkeypatch):
-        calls = self.record_enclosures(monkeypatch)
         code, out, _ = run_cli(capsys, "logbound", "bessel_j0", "--xi",
                                "12/5", "--approx", "-6", "--precision", "2")
         assert code == 0
