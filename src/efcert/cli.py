@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import io
 import json
 import sys as _sys
@@ -181,10 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """build_parser(), once per process."""
-    return build_parser()
+_PARSER = build_parser()
 
 
 def _check_ceilings(args):
@@ -460,7 +456,7 @@ def main(argv=None) -> int:
         argv = _sys.argv[1:]
     argv = _join_negative_values(list(argv))
     try:
-        args = _parser().parse_args(argv)
+        args = _PARSER.parse_args(argv)
         _check_ceilings(args)
         return _COMMANDS[args.subcommand](args)
     except InputError as exc:

@@ -75,8 +75,9 @@ EXPONENT_BOUND_NAMES = ("global", "infinity", "irrational")
 def _exponent_bounds(bounds: dict | None) -> dict[str, Fraction] | None:
     """exponent_bound with canonical keys: the names above as given, and a
     rational point as str(Fraction), so "0.5" and "2/4" become the "1/2" that
-    exponent_data looks up.  Any other key, or two keys for one point, is an
-    InputError; so is exponent notation, lest a short key ask for 10^(10^9)."""
+    exponent_data looks up.  Any other key, two keys for one point or a
+    negative bound is an InputError; so is exponent notation, lest a short
+    key ask for 10^(10^9)."""
     if bounds is None:
         return None
     out = {}
@@ -94,6 +95,8 @@ def _exponent_bounds(bounds: dict | None) -> dict[str, Fraction] | None:
         if text in out:
             raise InputError(f"exponent_bound names the point {text} twice")
         out[text] = Fraction(val)
+        if out[text] < 0:
+            raise InputError(f"bound at {key!r} must be >= 0")
     return out
 
 
@@ -352,26 +355,19 @@ class _ExpAugmented(DiffSystem):
         self.clear_factor = math.lcm(base.clear_factor,
                                      *(c.denominator for c in beta_t.coeffs))
         self._params = None
-        self._columns: dict[int, tuple[int, list[tuple[int, ...]]]] = {}
 
     def integer_coefficients(self, order: int
                              ) -> tuple[int, list[tuple[int, ...]]]:
         """The base's integer columns next to exp_numerators(beta, order),
-        both brought to the lcm of their denominators.  They are built once
-        per order and kept with this system (a scan row's, dropped with
-        the row); each call returns a fresh list of the kept tuples."""
-        if order not in self._columns:
-            d_base, columns = self._base.integer_coefficients(order)
-            d_exp, exp = exp_numerators(self._beta, order)
-            d = math.lcm(d_base, d_exp)
-            if d != d_base:
-                scale = d // d_base
-                columns = [tuple([c * scale for c in col]) for col in columns]
-            scale = d // d_exp
-            self._columns[order] = (d, columns
-                                    + [tuple([e * scale for e in exp])])
-        d, columns = self._columns[order]
-        return d, list(columns)
+        both brought to the lcm of their denominators, built on each call."""
+        d_base, columns = self._base.integer_coefficients(order)
+        d_exp, exp = exp_numerators(self._beta, order)
+        d = math.lcm(d_base, d_exp)
+        if d != d_base:
+            scale = d // d_base
+            columns = [tuple([c * scale for c in col]) for col in columns]
+        scale = d // d_exp
+        return d, columns + [tuple([e * scale for e in exp])]
 
 
 # ---------------------------------------------------------------------------
@@ -379,8 +375,6 @@ class _ExpAugmented(DiffSystem):
 # ---------------------------------------------------------------------------
 
 def _poly_lcm(a: Poly, b: Poly) -> Poly:
-    if a.is_zero() or b.is_zero():
-        return Poly.zero()
     g = a.gcd(b)
     return (a * b).divmod(g)[0].monic()
 
@@ -416,21 +410,12 @@ def minimal_clearing_poly(A: Sequence[Sequence[RatFunc]]) -> Poly:
 def make_system(A: Sequence[Sequence[RatFunc]],
                 seeds: Sequence[Sequence[Rational | int]],
                 labels: Sequence[str] | None = None,
-                T: Poly | None = None,
                 growth: GrowthCertificate | None = None,
                 exponent_bound: dict[str, Fraction] | None = None,
                 ) -> DiffSystem:
-    """Build a DiffSystem, computing or normalizing T as needed.
-
-    A supplied T that fails integrality is rescaled (warning left to the
-    caller via the returned system's T differing from the input).
-    """
-    if T is None:
-        T = minimal_clearing_poly(A)
-    else:
-        T = normalize_clearing_poly(T, A)
-    return DiffSystem(A, T, seeds, labels=labels, growth=growth,
-                      exponent_bound=exponent_bound)
+    """Build a DiffSystem with T = minimal_clearing_poly(A)."""
+    return DiffSystem(A, minimal_clearing_poly(A), seeds, labels=labels,
+                      growth=growth, exponent_bound=exponent_bound)
 
 
 # ---------------------------------------------------------------------------

@@ -230,8 +230,8 @@ def log_lower_bound(sys: DiffSystem, xi: Rational, a: int, b: int,
     aug_params = extract_params(aug)
     beta_dep = {
         "E": aug_params.E,
-        "C": aug.growth.C if aug.growth else None,
-        "D": aug.growth.D if aug.growth else None,
+        "C": aug.growth.C,
+        "D": aug.growth.D,
     }
     beta_indep = {
         "m": aug.m,

@@ -29,8 +29,9 @@ from importlib import resources
 from pathlib import Path
 
 from .algebra import Poly, RatFunc
-from .efunction import DiffSystem, GrowthCertificate, make_system
-from .errors import InputError
+from .efunction import (DiffSystem, GrowthCertificate, minimal_clearing_poly,
+                        normalize_clearing_poly)
+from .errors import InconsistentSeeds, InputError, UnderdeterminedSeeds
 
 logger = logging.getLogger(__name__)
 
@@ -40,10 +41,13 @@ logger = logging.getLogger(__name__)
 # degree of a sum a/b + c/d, predicted as that of (ad + cb)/(bd).  A rational
 # in exponent notation ("1e5", "2.5E-3") has an exponent of at most
 # _MAX_DIGITS in magnitude, checked before Fraction computes its power of ten.
+# Parentheses nest at most _MAX_DEPTH deep, as each level costs the
+# recursive-descent parser five frames of Python's recursion limit.
 _MAX_DIGITS = 1000
 _EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
 _MAX_DEGREE = 256
 _MAX_BITS = 4096
+_MAX_DEPTH = 64
 
 
 # ---------------------------------------------------------------------------
@@ -54,6 +58,7 @@ class _Tokenizer:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.depth = 0
 
     def error(self, message: str):
         raise InputError(f"expression {self.text!r}, column {self.pos + 1}: "
@@ -173,11 +178,15 @@ def _parse_atom(tok: _Tokenizer) -> RatFunc:
     if ch is None:
         tok.error("unexpected end of expression")
     if ch == "(":
+        if tok.depth == _MAX_DEPTH:
+            tok.error(f"parentheses nested deeper than {_MAX_DEPTH}")
         tok.take()
+        tok.depth += 1
         value = _parse_sum(tok)
         if tok.peek() != ")":
             tok.error("expected ')'")
         tok.take()
+        tok.depth -= 1
         return value
     if ch == "z":
         tok.take()
@@ -285,8 +294,8 @@ def system_from_dict(doc: dict, origin: str = "<dict>") -> DiffSystem:
     if not isinstance(doc, dict):
         raise InputError(f"{origin}: top level must be a JSON object")
     m = doc.get("m")
-    if isinstance(m, bool) or not isinstance(m, int):
-        raise InputError(f"{origin}: field 'm': missing or not an integer")
+    if isinstance(m, bool) or not isinstance(m, int) or m < 1:
+        fail("m", "missing or not a positive integer")
     raw_a = doc.get("A")
     if (not isinstance(raw_a, list) or len(raw_a) != m
             or any(not isinstance(r, list) or len(r) != m for r in raw_a)):
@@ -320,12 +329,15 @@ def system_from_dict(doc: dict, origin: str = "<dict>") -> DiffSystem:
         labels = tuple(str(s) for s in labels)
 
     t_poly = None
-    if doc.get("T") is not None:
+    if doc.get("T") is None:
+        clearing = minimal_clearing_poly(a)
+    else:
         try:
             t_func = parse_ratfunc(str(doc["T"]))
-            if not t_func.is_polynomial():
-                fail("T", "must be a polynomial")
+            if t_func.is_zero() or not t_func.is_polynomial():
+                raise InputError("must be a nonzero polynomial")
             t_poly = t_func.to_poly()
+            clearing = normalize_clearing_poly(t_poly, a)
         except InputError as exc:
             fail("T", str(exc))
 
@@ -342,18 +354,23 @@ def system_from_dict(doc: dict, origin: str = "<dict>") -> DiffSystem:
             fail("growth", str(exc))
 
     bound = None
-    if doc.get("exponent_bound") is not None:
-        be = doc["exponent_bound"]
-        if isinstance(be, dict):
-            bound = {str(k): parse_rational(str(v)) for k, v in be.items()}
-        else:
-            bound = {"global": parse_rational(str(be))}
-        for key, val in bound.items():
-            if val < 0:
-                fail("exponent_bound", f"bound at {key!r} must be >= 0")
+    be = doc.get("exponent_bound")
+    if be is not None:
+        try:
+            if isinstance(be, dict):
+                bound = {str(k): parse_rational(str(v)) for k, v in be.items()}
+            else:
+                bound = {"global": parse_rational(str(be))}
+        except InputError as exc:
+            fail("exponent_bound", str(exc))
 
-    system = make_system(a, seeds, labels=labels, T=t_poly, growth=growth,
-                         exponent_bound=bound)
+    try:
+        system = DiffSystem(a, clearing, seeds, labels=labels, growth=growth,
+                            exponent_bound=bound)
+    except InputError as exc:       # all but exponent_bound checked above
+        fail("exponent_bound", str(exc))
+    except (InconsistentSeeds, UnderdeterminedSeeds) as exc:
+        raise type(exc)(f"{origin}: field 'seeds': {exc}") from None
     if t_poly is not None and system.T != t_poly:
         logger.warning("%s: supplied T = %s does not clear A integrally; "
                        "rescaled to T = %s", origin, poly_str(t_poly),
@@ -376,6 +393,8 @@ def parse_system(path: str | Path) -> DiffSystem:
         ) from None
     except ValueError as exc:        # an integer literal past int's digits
         raise InputError(f"{path}: {exc}") from None
+    except RecursionError:
+        raise InputError(f"{path}: JSON nested too deeply") from None
     return system_from_dict(doc, origin=str(path))
 
 

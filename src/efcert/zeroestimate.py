@@ -185,8 +185,6 @@ def _sign_changes(coeffs: list[int]) -> int:
 def _cauchy_bound(p: Poly) -> Fraction:
     """1 + max |c_i / c_d|: every root has modulus below this."""
     lead = abs(p.leading())
-    if p.degree <= 0:
-        return Fraction(0)
     return 1 + max(abs(c) / lead for c in p.coeffs[:-1])
 
 

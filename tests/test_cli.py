@@ -125,6 +125,28 @@ class TestBoundCommand:
         assert json.loads(out)["parameters"]["n0_bound"] is None
 
 
+class TestInputErrors:
+    @pytest.mark.parametrize("doc, field", [
+        ({"exponent_bound": {"global": "x"}}, "exponent_bound"),
+        ({"A": [["2/z"]], "seeds": [["0"]]}, "seeds"),
+        ({"T": "1/z"}, "T"),
+    ], ids=["bound_value", "seeds_free", "T_rational"])
+    def test_system_file_names_file_and_field(self, doc, field, capsys,
+                                              tmp_path):
+        path = tmp_path / "sys.json"
+        path.write_text(json.dumps({"m": 1, "A": [["1"]], "seeds": [["1"]],
+                                    **doc}), encoding="utf-8")
+        code, out, err = run_cli(capsys, "params", str(path))
+        assert (code, out) == (3, "")
+        assert err.startswith(f"error: {path}: field {field!r}: ")
+        assert err.count("\n") == 1
+
+    def test_malformed_target(self, capsys):
+        assert run_cli(capsys, "bound", "bessel_j0", "--xi", "1",
+                       "--target", "1,x") == (
+            3, "", "error: target must be comma-separated integers: '1,x'\n")
+
+
 class TestLogboundCommand:
     def test_bessel_quarter(self, capsys):
         code, out, _ = run_cli(capsys, "logbound", "bessel_j0", "--xi", "1",
@@ -426,41 +448,51 @@ class TestParserReuse:
             return build_parser()
 
         build_parser = cli.build_parser
-        cli._parser.cache_clear()
         monkeypatch.setattr(cli, "build_parser", counting)
-        try:
-            argv = ("scan", "bessel_j0", "--xi", "1", "--bmax", "2",
-                    "--window", "1", "--n-max", "12")
-            first = run_cli(capsys, *argv)
-            assert first[0] == 0
-            assert run_cli(capsys, *argv) == first
-            code, out, err = run_cli(capsys, "construct", "bessel_j0",
-                                     "--n", "x")
-            assert (code, out) == (3, "")
-            assert err.startswith("error: argument --n: invalid int value")
-            assert run_cli(capsys, *argv) == first
-        finally:
-            cli._parser.cache_clear()
-        assert len(built) == 1
+        argv = ("scan", "bessel_j0", "--xi", "1", "--bmax", "2",
+                "--window", "1", "--n-max", "12")
+        first = run_cli(capsys, *argv)
+        assert first[0] == 0
+        assert run_cli(capsys, *argv) == first
+        code, out, err = run_cli(capsys, "construct", "bessel_j0",
+                                 "--n", "x")
+        assert (code, out) == (3, "")
+        assert err.startswith("error: argument --n: invalid int value")
+        assert run_cli(capsys, *argv) == first
+        assert built == []
 
 
 class TestOversizedSystemFile:
+    @staticmethod
+    def params(path):
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        return subprocess.run(
+            [sys.executable, "-m", "efcert.cli", "params", str(path)],
+            capture_output=True, text=True, env=env, timeout=60)
+
     @pytest.mark.parametrize("expr", [
         "1" * 5000, "(1+z)^3000", "((1+z)^40)^40", "((((2^64)^64)^64)^64)^64",
-        "*".join(["(1+z)^256"] * 8),
-    ], ids=["literal", "power", "nested_power", "constant_power", "product"])
+        "*".join(["(1+z)^256"] * 8), "(" * 400 + "z" + ")" * 400,
+    ], ids=["literal", "power", "nested_power", "constant_power", "product",
+            "nested_parens"])
     def test_exits_3_without_traceback(self, expr, tmp_path):
         doc = {"m": 1, "A": [[expr]], "seeds": [["1"]]}
         path = tmp_path / "big.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
-        env = dict(os.environ,
-                   PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "efcert.cli", "params", str(path)],
-            capture_output=True, text=True, env=env, timeout=60)
+        proc = self.params(path)
         assert proc.returncode == 3
         assert "Traceback" not in proc.stderr
-        assert proc.stderr.startswith("error: ")
+        assert proc.stderr.startswith(f"error: {path}: field 'A[0][0]': ")
+        assert proc.stderr.count("\n") == 1
+
+    def test_nested_json_exits_3_without_traceback(self, tmp_path):
+        # json.loads raises RecursionError on 1,000 nested arrays
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 1000 + "]" * 1000, encoding="utf-8")
+        proc = self.params(path)
+        assert proc.returncode == 3
+        assert proc.stderr == f"error: {path}: JSON nested too deeply\n"
 
 
 class TestLargeRationalPole:

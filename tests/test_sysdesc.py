@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from efcert.algebra import Poly, RatFunc
 from efcert.efunction import augment_exp, catalog, extract_params
-from efcert.errors import InputError
+from efcert.errors import EfcertError, InputError
 from efcert.sysdesc import (catalog_file, emit_system, frac_str, parse_ratfunc,
                             parse_rational, parse_system, poly_str,
                             ratfunc_str, resolve_system_path, system_from_dict)
@@ -35,6 +35,19 @@ class TestExpressionParser:
         assert parse_ratfunc("z^256").to_poly() == Poly([0] * 256 + [1])
         assert parse_ratfunc("z^100*z^156").to_poly() == Poly([0] * 256 + [1])
         assert parse_ratfunc("z^200/z^56") == parse_ratfunc("z^144")
+        assert parse_ratfunc("(" * 64 + "z" + ")" * 64) == parse_ratfunc("z")
+
+    @pytest.mark.parametrize("text, column, message", [
+        ("(z+1", 5, "expected ')'"),
+        ("z^x", 3, "expected an integer"),
+        ("z x", 3, "unexpected 'x'"),
+        ("2*x", 3, "unexpected 'x'"),
+    ])
+    def test_syntax_errors_name_the_column(self, text, column, message):
+        with pytest.raises(InputError) as exc:
+            parse_ratfunc(text)
+        assert str(exc.value) == (f"expression {text!r}, column {column}: "
+                                  f"{message}")
 
     def test_errors_have_positions(self):
         with pytest.raises(InputError, match="column"):
@@ -50,7 +63,9 @@ class TestExpressionParser:
         ("((1+z)^40)^40", 12),
         ("((((2^64)^64)^64)^64)^64", 11),
         ("z^400", 3),
-    ], ids=["literal", "power", "nested_power", "constant_power", "z400"])
+        ("(" * 300 + "z" + ")" * 300, 65),
+    ], ids=["literal", "power", "nested_power", "constant_power", "z400",
+            "nested_parens"])
     def test_oversized_input_rejected(self, text, column):
         with pytest.raises(InputError, match=f"column {column}: "):
             parse_ratfunc(text)
@@ -198,6 +213,45 @@ class TestSystemFiles:
             system_from_dict({"m": 2, "A": [["1"]], "seeds": [["1"], ["1"]]})
         with pytest.raises(InputError, match="seeds"):
             system_from_dict({"m": 1, "A": [["1"]], "seeds": []})
+
+    ONE = {"m": 1, "A": [["1"]], "seeds": [["1"]]}
+
+    @pytest.mark.parametrize("doc, message", [
+        ([1], "top level must be a JSON object"),
+        ({**ONE, "m": 0, "A": [], "seeds": []},
+         "field 'm': missing or not a positive integer"),
+        ({**ONE, "labels": "f"}, "field 'labels': must be a list of 1 strings"),
+        ({**ONE, "growth": "1"},
+         "field 'growth': must be an object with C, D, provenance"),
+        ({**ONE, "growth": {"C": "1"}}, "field 'growth': 'D'"),
+        ({**ONE, "growth": {"C": "1/2", "D": "1"}},
+         "field 'growth': growth certificate requires C >= 1 and D >= 1"),
+        ({**ONE, "T": "1/z"}, "field 'T': must be a nonzero polynomial"),
+        ({**ONE, "T": "0"}, "field 'T': must be a nonzero polynomial"),
+        ({**ONE, "A": [["1/(z-1)"]], "T": "z"},
+         "field 'T': candidate polynomial does not clear A"),
+        ({**ONE, "exponent_bound": {"global": "x"}},
+         "field 'exponent_bound': malformed rational 'x': Invalid literal "
+         "for Fraction: 'x'"),
+        ({**ONE, "exponent_bound": "-1"},
+         "field 'exponent_bound': bound at 'global' must be >= 0"),
+        ({**ONE, "exponent_bound": {"irrationals": "1"}},
+         "field 'exponent_bound': exponent_bound key 'irrationals' is neither "
+         "a rational point nor one of global, infinity, irrational"),
+        ({"m": 2, "A": [["0", "1"], ["-1", "-1/z"]], "seeds": [["1"], ["1"]]},
+         "field 'seeds': recurrence at order 0, component 2 (seeds violate "
+         "the system)"),
+        ({**ONE, "A": [["2/z"]], "seeds": [["0"]]},
+         "field 'seeds': coefficient of z^2 in component 1 is not pinned; "
+         "supply more seed terms"),
+    ], ids=["top_level", "m_zero", "labels", "growth_type", "growth_key",
+            "growth_value", "T_rational", "T_zero", "T_not_clearing",
+            "bound_value", "bound_negative", "bound_key",
+            "seeds_contradicted", "seeds_free"])
+    def test_errors_name_file_and_field(self, doc, message):
+        with pytest.raises(EfcertError) as exc:
+            system_from_dict(doc, "F.json")
+        assert str(exc.value) == f"F.json: {message}"
 
     def test_integer_literal_past_int_digits_rejected(self, tmp_path):
         # json.loads raises a plain ValueError for a literal of more than

@@ -251,8 +251,9 @@ class TestExponentBoundKeys:
                                     "exponent_bound": {"irrationals": "1"}}))
         assert cli.main(["params", str(path)]) == 3
         assert capsys.readouterr().err == (
-            "error: exponent_bound key 'irrationals' is neither a rational "
-            "point nor one of global, infinity, irrational\n")
+            f"error: {path}: field 'exponent_bound': exponent_bound key "
+            "'irrationals' is neither a rational point nor one of global, "
+            "infinity, irrational\n")
 
 
 class TestIrrationalRoots:
