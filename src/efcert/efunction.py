@@ -9,8 +9,9 @@ equating powers of z in T Y' = (T A) Y imposes; z = 0 may be a singular
 point, so the solver treats the recurrence as an incremental sparse linear
 system and verifies that the seeds pin a unique solution.  Each system keeps
 one store of them, integer numerators over prefix lcms, which the hot loops
-read through ``integer_coefficients``; ``coefficients`` is its ``Fraction``
-view.  A miss solves to exactly the order asked, resuming the system's one
+read through ``integer_coefficients`` (all columns over one denominator) or
+``integer_column`` (one column); ``coefficients`` is the ``Fraction`` view.
+A miss solves to exactly the order asked, resuming the system's one
 elimination, so each equation of the recurrence is inserted once.  A system
 with exp(beta z) adjoined keeps no store of its own: it reads its base's and
 the closed form ``algebra.exp_numerators``.
@@ -153,6 +154,10 @@ class DiffSystem:
         self.exponent_bound = _exponent_bounds(exponent_bound)
         self.clear_factor = math.lcm(*(
             c.denominator for row in self.TA for p in row for c in p.coeffs))
+        # q and E of extract_params
+        self._q = max(T.degree, *(p.degree for row in ta for p in row))
+        self._e = max(T.max_abs_coeff(),
+                      *(p.max_abs_coeff() for row in ta for p in row))
         # prefix_numerators of the coefficients in level order (level k,
         # component i at k * m + i), solved into as integer_coefficients needs
         self._nums: list[int] = []
@@ -221,6 +226,21 @@ class DiffSystem:
         d, flat = common_numerators(self._nums[:(order + 1) * m],
                                     self._steps[:(order + 1) * m])
         return d, [tuple(flat[i::m]) for i in range(m)]
+
+    def integer_column(self, i: int, order: int) -> tuple[int, Sequence[int]]:
+        """Column i of integer_coefficients(order): (D, numerators) for
+        some denominator D > 0 of that column."""
+        d, columns = self.integer_coefficients(order)
+        return d, columns[i]
+
+    def _vanishing_order(self) -> int:
+        """p of extract_params, read from the store."""
+        _, columns = self.integer_coefficients(
+            max(1, *map(len, self.seeds)) - 1)
+        for k in range(len(columns[0])):
+            if any(col[k] for col in columns):
+                return k
+        raise AllComponentsZero()
 
     def _solve(self, order: int):
         """Solve the coefficient recurrence of T Y' = (T A) Y up to level
@@ -325,10 +345,13 @@ class _ExpAugmented(DiffSystem):
     base's blocks next to the 1 x 1 blocks beta and beta T; T is the base's,
     and clear_factor is the lcm of the base's and of the denominators of
     beta T.  The recurrence is block diagonal too, so no column is solved
-    for and there is no store of its own: the integer columns are the
-    base's next to the closed form exp_numerators(beta, order).  Nor are
-    the seeds probed again: the base's were probed when it was built, and
-    the seed 1 of exp(beta z) is its closed form's constant term.
+    for and there is no store of its own: integer_column reads a base
+    column over the base's denominator, or the closed form
+    exp_numerators(beta, order) alone, and integer_coefficients brings the
+    two to the lcm of their denominators.  Nor are the seeds probed again:
+    the base's were probed when it was built, and the seed 1 of exp(beta z)
+    is its closed form's constant term, which also makes p = 0; q is the
+    base's, and E = max(E_base, |beta| max|T|).
     """
 
     def __init__(self, base: DiffSystem, beta: Fraction):
@@ -354,6 +377,8 @@ class _ExpAugmented(DiffSystem):
                                else dict(base.exponent_bound))
         self.clear_factor = math.lcm(base.clear_factor,
                                      *(c.denominator for c in beta_t.coeffs))
+        self._q = base._q                   # deg beta T <= deg T
+        self._e = max(base._e, beta_t.max_abs_coeff())
         self._params = None
 
     def integer_coefficients(self, order: int
@@ -368,6 +393,14 @@ class _ExpAugmented(DiffSystem):
             columns = [tuple([c * scale for c in col]) for col in columns]
         scale = d // d_exp
         return d, columns + [tuple([e * scale for e in exp])]
+
+    def integer_column(self, i: int, order: int) -> tuple[int, Sequence[int]]:
+        if i < self._base.m:
+            return self._base.integer_column(i, order)
+        return exp_numerators(self._beta, order)
+
+    def _vanishing_order(self) -> int:
+        return 0
 
 
 # ---------------------------------------------------------------------------
@@ -432,23 +465,14 @@ def extract_params(sys: DiffSystem) -> SystemParams:
     L, and if every seed is zero no coefficient is nonzero.  Levels 0..L-1
     are read from the store the seed probe filled (level 0 alone when there
     are no seeds), so nothing is solved; all-zero seeds raise
-    AllComponentsZero, on every call.
+    AllComponentsZero, on every call.  q and E are read off T and T A when
+    the system is built.  A system with exp(beta z) adjoined reads no
+    column: p = 0, and q and E come from its base's (_ExpAugmented).
     """
-    if sys._params is not None:
-        return sys._params
-    q = sys.T.degree
-    e = sys.T.max_abs_coeff()
-    for row in sys.TA:
-        for entry in row:
-            q = max(q, entry.degree)
-            e = max(e, entry.max_abs_coeff())
-    _, columns = sys.integer_coefficients(max(1, *map(len, sys.seeds)) - 1)
-    for k in range(len(columns[0])):
-        if any(col[k] for col in columns):
-            sys._params = SystemParams(p=k, q=q, E=e, T=sys.T)
-            return sys._params
-    raise AllComponentsZero("every seed is zero, so every component vanishes "
-                            "identically; vanishing order undefined")
+    if sys._params is None:
+        sys._params = SystemParams(p=sys._vanishing_order(), q=sys._q,
+                                   E=sys._e, T=sys.T)
+    return sys._params
 
 
 def augment_exp(sys: DiffSystem, beta: Rational | int) -> DiffSystem:

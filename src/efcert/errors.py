@@ -32,6 +32,10 @@ class AllComponentsZero(EfcertError):
     """Every component vanishes identically; the vanishing order at 0 is
     undefined."""
 
+    def __init__(self, message: str = "every seed is zero, so every "
+                 "component vanishes identically; vanishing order undefined"):
+        super().__init__(message)
+
 
 # -- local exponent analysis -------------------------------------------------
 

@@ -2,11 +2,12 @@
 
 Values of the modelled entire functions at rational points are produced as
 intervals [lo, hi] with exact rational endpoints: an exact partial sum of the
-Taylor series plus a proven tail majorant from the growth certificate.  The
-partial sum is one integer Horner over the coefficient numerators and their
-common denominator (``DiffSystem.integer_coefficients``, or n!/k! over n! for
-e^r), made a ``Fraction`` once.  No floating point is involved anywhere, so
-downstream comparisons (sign tests, lower bounds) are exact.
+Taylor series plus a proven tail majorant from the growth certificate,
+rounded outward onto a dyadic grid.  The partial sum is one integer Horner
+(over ``DiffSystem.integer_column``, or n!/k! over n! for e^r), and each
+endpoint is one floor or ceiling division of integers, made a ``Fraction``
+once.  No floating point is involved anywhere, so downstream comparisons
+(sign tests, lower bounds) are exact.
 
 Tail majorant: if the scaled coefficients satisfy |phi_k| <= C^(k+1), then
 
@@ -14,7 +15,7 @@ Tail majorant: if the scaled coefficients satisfy |phi_k| <= C^(k+1), then
 
 valid as soon as N+2 > C|x| (geometric comparison of consecutive terms).
 ``_small_tail`` tests it against the target width on cross-multiplied
-integers and makes a ``Fraction`` only of the tail it accepts.
+integers and returns the tail it accepts as a numerator and denominator.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import Rational, exp_numerators, horner
+from .algebra import Rational, horner
 from .errors import MissingGrowthCertificate
 
 
@@ -66,17 +67,6 @@ class RatInterval:
     def strictly_positive(self) -> bool:
         return self.lo > 0
 
-    def outward_round(self, bits: int) -> "RatInterval":
-        """Round endpoints outward onto the dyadic grid 2^-bits.
-
-        Caps denominator growth: both endpoints get denominator <= 2^bits at
-        the cost of widening by at most 2^(1-bits).
-        """
-        scale = 1 << bits
-        lo = Fraction((self.lo.numerator * scale) // self.lo.denominator, scale)
-        hi_num = -((-self.hi.numerator * scale) // self.hi.denominator)
-        return RatInterval(lo, Fraction(hi_num, scale))
-
 
 # ---------------------------------------------------------------------------
 # Series evaluation
@@ -90,12 +80,11 @@ def _grid_bits(width: Fraction) -> int:
 
 
 def _small_tail(c: Fraction, x_abs: Fraction, n: int,
-                width: Fraction) -> Fraction | None:
-    """The tail majorant of the module docstring at truncation order n, or
-    None unless it is valid (n+2 > c|x|) and at most width/4.  With
-    t = c x_abs = tn/td and gap = (n+2) td - tn, it is c tn^(n+1) (n+2) over
-    den(c) td^n (n+1)! gap; the comparison runs on those integers, so only
-    an accepted tail becomes a Fraction."""
+                width: Fraction) -> tuple[int, int] | None:
+    """The tail majorant of the module docstring at truncation order n as
+    (num, den), or None unless it is valid (n+2 > c|x|) and at most width/4.
+    With t = c x_abs = tn/td and gap = (n+2) td - tn, it is c tn^(n+1) (n+2)
+    over den(c) td^n (n+1)! gap; both are positive."""
     tn = c.numerator * x_abs.numerator
     td = c.denominator * x_abs.denominator
     gap = (n + 2) * td - tn
@@ -105,18 +94,21 @@ def _small_tail(c: Fraction, x_abs: Fraction, n: int,
     den = c.denominator * td ** n * math.factorial(n + 1) * gap
     if 4 * width.denominator * num > width.numerator * den:
         return None
-    return Fraction(num, den)
+    return num, den
 
 
 def _taylor_enclosure(coefficients, c: Fraction, x: Fraction,
                       width: Fraction) -> RatInterval:
     """Interval of width <= width containing sum_k a_k x^k, where
     coefficients(n) gives a_0..a_n as (D, [D a_0, ..., D a_n]), integers
-    over a common denominator D, and a_k = phi_k/k! with |phi_k| <= c^(k+1).
+    over a denominator D > 0, and a_k = phi_k/k! with |phi_k| <= c^(k+1).
 
-    The truncation order n grows until the tail majorant is valid and at
-    most width/4 (_small_tail).  The partial sum is exact (one integer
-    Horner over D den(x)^n).  At x = 0 the value a_0 is returned as a point.
+    The truncation order n grows until the tail majorant num/den is valid
+    and at most width/4 (_small_tail).  The partial sum is exact, S/Q for
+    the integer Horner S at x = a/d and Q = D d^n; lo and hi are floor and
+    ceiling of 2^g (S den -+ num Q) / (Q den) over 2^g, g = _grid_bits(width),
+    which widens by at most 2^(1-g) <= width/4.  At x = 0 the value a_0 is
+    returned as a point.
     """
     if x == 0:
         d, nums = coefficients(0)
@@ -125,10 +117,14 @@ def _taylor_enclosure(coefficients, c: Fraction, x: Fraction,
     n = max(4, int(c * x_abs) + 2)
     while (tail := _small_tail(c, x_abs, n, width)) is None:
         n += max(4, n // 2)
+    num, den = tail
     d, nums = coefficients(n)
-    acc = Fraction(horner(nums, x.numerator, x.denominator),
-                   d * x.denominator ** n)
-    return RatInterval(acc - tail, acc + tail).outward_round(_grid_bits(width))
+    q = d * x.denominator ** n
+    s, t = horner(nums, x.numerator, x.denominator) * den, num * q
+    g = _grid_bits(width)
+    lo = ((s - t) << g) // (q * den)
+    hi = -((-(s + t) << g) // (q * den))
+    return RatInterval(Fraction(lo, 1 << g), Fraction(hi, 1 << g))
 
 
 def eval_component(sys, i: int, x: Rational | int,
@@ -138,7 +134,7 @@ def eval_component(sys, i: int, x: Rational | int,
 
     Requires a growth certificate on the system; the truncation order grows
     until the tail majorant is valid and small enough.  The partial sum runs
-    on the system's integer columns (DiffSystem.integer_coefficients).
+    on the system's integer column i (DiffSystem.integer_column).
     """
     x = Fraction(x)
     width = Fraction(target_width)
@@ -147,12 +143,16 @@ def eval_component(sys, i: int, x: Rational | int,
     if sys.growth is None:
         raise MissingGrowthCertificate(
             "eval_component needs a growth certificate")
+    return _taylor_enclosure(lambda n: sys.integer_column(i, n),
+                             Fraction(sys.growth.C), x, width)
 
-    def coefficients(n: int) -> tuple[int, tuple[int, ...]]:
-        d, columns = sys.integer_coefficients(n)
-        return d, columns[i]
 
-    return _taylor_enclosure(coefficients, Fraction(sys.growth.C), x, width)
+def _exp_numerators(n: int) -> tuple[int, list[int]]:
+    """The Taylor coefficients 1/k! of e^z, k = 0..n, as (n!, [n!/k!])."""
+    nums = [1] * (n + 1)
+    for k in range(n, 0, -1):
+        nums[k - 1] = nums[k] * k
+    return nums[0], nums
 
 
 def eval_exp(r: Rational | int, target_width: Rational) -> RatInterval:
@@ -162,8 +162,7 @@ def eval_exp(r: Rational | int, target_width: Rational) -> RatInterval:
     if width <= 0:
         raise ValueError("target_width must be positive")
     # e^r = sum r^k/k!: phi_k = 1 <= 1^(k+1)
-    return _taylor_enclosure(lambda n: exp_numerators(Fraction(1), n),
-                             Fraction(1), r, width)
+    return _taylor_enclosure(_exp_numerators, Fraction(1), r, width)
 
 
 def exp_upper_bound(r: Rational | int) -> Fraction:

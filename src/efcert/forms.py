@@ -290,9 +290,10 @@ def _check_evaluation_point(t_poly: Poly, xi: Fraction):
 
 
 def _operator_tail_sum(rem: RemainderSeries, power: int, xi: Fraction,
-                       t_poly: Poly) -> Fraction:
+                       t_poly: Poly) -> tuple[int, int]:
     """Rigorous bound for |(T d/dz)^power applied to the discarded tail of R,
-    evaluated at xi|: twice the first tail term, at mu = cutoff + 1.
+    evaluated at xi|, as (num, den), den > 0: twice the first tail term, at
+    mu = cutoff + 1.
 
     One application maps z^mu to mu T z^(mu-1): at most (1+deg T) monomials,
     coefficients bounded by Ehat = max |T coeffs|, exponent shifted into
@@ -318,10 +319,13 @@ def _operator_tail_sum(rem: RemainderSeries, power: int, xi: Fraction,
                              f"halving rule at power {power}")
     dt = max(t_poly.degree, 0)
     prod = math.prod(mu + i * (dt - 1) for i in range(power))
-    x_factor = x_abs ** (mu - power + (power * dt if x_abs > 1 else 0))
-    term = (rem.tail_bound(mu) * (Fraction(1 + dt) * t_poly.max_abs_coeff())
-            ** power * prod * x_factor)
-    return 2 * term
+    x_exp = mu - power + (power * dt if x_abs > 1 else 0)
+    first, e_hat = rem.tail_bound(mu), t_poly.max_abs_coeff()
+    num = (2 * first.numerator * ((1 + dt) * e_hat.numerator) ** power
+           * prod * x_abs.numerator ** x_exp)
+    den = (first.denominator * e_hat.denominator ** power
+           * x_abs.denominator ** x_exp)
+    return num, den
 
 
 def _scaled_form_upper_bounds(rem: RemainderSeries, ladder_rows: list[int],
@@ -330,7 +334,8 @@ def _scaled_form_upper_bounds(rem: RemainderSeries, ladder_rows: list[int],
     """U_k >= |s_k R_{k+1}(xi)| for the ascending 0-based ladder rows k:
     exact evaluation of (T d/dz)^k applied to the truncation, one step at a
     time on the integer numerators D R (D the column denominator the
-    remainder carries), plus the propagated tail."""
+    remainder carries), plus the propagated tail, each U_k made a Fraction
+    once from the two integer pairs."""
     uppers = []
     e, poly = rem.denominator, rem.numerators
     t = [c.numerator for c in t_poly.coeffs]
@@ -340,10 +345,12 @@ def _scaled_form_upper_bounds(rem: RemainderSeries, ladder_rows: list[int],
         for _ in range(k - power):
             poly = _mul_into([], t, _derivative(poly))
         power = k
-        tail_part = _operator_tail_sum(rem, k, xi, t_poly)
-        value = (Fraction(abs(horner(poly, a, d)), e * d ** (len(poly) - 1))
-                 if poly else Fraction(0))
-        uppers.append(scales[k] * (value + tail_part))
+        tail_num, tail_den = _operator_tail_sum(rem, k, xi, t_poly)
+        value = abs(horner(poly, a, d))
+        value_den = e * d ** max(len(poly) - 1, 0)
+        uppers.append(Fraction(
+            scales[k] * (value * tail_den + tail_num * value_den),
+            value_den * tail_den))
     return tuple(uppers)
 
 

@@ -31,7 +31,8 @@ from pathlib import Path
 from .algebra import Poly, RatFunc
 from .efunction import (DiffSystem, GrowthCertificate, minimal_clearing_poly,
                         normalize_clearing_poly)
-from .errors import InconsistentSeeds, InputError, UnderdeterminedSeeds
+from .errors import (AllComponentsZero, InconsistentSeeds, InputError,
+                     UnderdeterminedSeeds)
 
 logger = logging.getLogger(__name__)
 
@@ -324,9 +325,9 @@ def system_from_dict(doc: dict, origin: str = "<dict>") -> DiffSystem:
 
     labels = doc.get("labels")
     if labels is not None:
-        if not isinstance(labels, list) or len(labels) != m:
+        if (not isinstance(labels, list) or len(labels) != m
+                or not all(isinstance(s, str) for s in labels)):
             fail("labels", f"must be a list of {m} strings")
-        labels = tuple(str(s) for s in labels)
 
     t_poly = None
     if doc.get("T") is None:
@@ -371,6 +372,9 @@ def system_from_dict(doc: dict, origin: str = "<dict>") -> DiffSystem:
         fail("exponent_bound", str(exc))
     except (InconsistentSeeds, UnderdeterminedSeeds) as exc:
         raise type(exc)(f"{origin}: field 'seeds': {exc}") from None
+    if not any(c for row in system.seeds for c in row):
+        raise AllComponentsZero(
+            f"{origin}: field 'seeds': {AllComponentsZero()}")
     if t_poly is not None and system.T != t_poly:
         logger.warning("%s: supplied T = %s does not clear A integrally; "
                        "rescaled to T = %s", origin, poly_str(t_poly),

@@ -130,7 +130,10 @@ class TestInputErrors:
         ({"exponent_bound": {"global": "x"}}, "exponent_bound"),
         ({"A": [["2/z"]], "seeds": [["0"]]}, "seeds"),
         ({"T": "1/z"}, "T"),
-    ], ids=["bound_value", "seeds_free", "T_rational"])
+        ({"seeds": [["0"]]}, "seeds"),
+        ({"labels": [[1]]}, "labels"),
+    ], ids=["bound_value", "seeds_free", "T_rational", "seeds_zero",
+            "labels_not_strings"])
     def test_system_file_names_file_and_field(self, doc, field, capsys,
                                               tmp_path):
         path = tmp_path / "sys.json"

@@ -24,9 +24,11 @@ def ref_augment(sys, beta):
     m = sys.m
     a = [tuple(sys.A[i]) + (RatFunc.zero(),) for i in range(m)]
     a.append((RatFunc.zero(),) * m + (RatFunc.constant(beta),))
-    growth = GrowthCertificate(max(sys.growth.C, abs(beta)),
-                               sys.growth.D * beta.denominator,
-                               sys.growth.provenance)
+    growth = None
+    if sys.growth is not None:
+        growth = GrowthCertificate(max(sys.growth.C, abs(beta)),
+                                   sys.growth.D * beta.denominator,
+                                   sys.growth.provenance)
     return DiffSystem(a, sys.T, sys.seeds + ((F(1),),),
                       labels=sys.labels + (f"exp({beta}*z)",), growth=growth,
                       exponent_bound=sys.exponent_bound)
@@ -285,6 +287,22 @@ class TestExtractParams:
             for beta in (F(0), F(2), F(-5, 3), F(7, 2)):
                 p = extract_params(augment_exp(base, beta))
                 assert (p.p, p.q) == (0, q)
+
+    @pytest.mark.parametrize("beta", [F(0), F(-3, 7), F(3, 2), F(20)])
+    def test_augmented_equals_generic(self, beta, j0, kummer, monkeypatch):
+        # derived from the base, reading no column; the generic computation
+        # reads the exp column's constant term 1, so p = 0 also over a base
+        # whose seeds are all zero, for which extract_params alone raises
+        zero = make_system(((RatFunc.constant(1),),), ((F(0),),))
+        for base in (j0, kummer, rescale(j0, F(2, 3)), zero):
+            ref = extract_params(ref_augment(base, beta))
+            aug = augment_exp(base, beta)
+            monkeypatch.setattr(aug, "integer_coefficients", None)
+            monkeypatch.setattr(aug, "integer_column", None)
+            assert extract_params(aug) == ref
+            assert ref.p == 0 and ref.T is base.T
+        with pytest.raises(AllComponentsZero):
+            extract_params(zero)
 
 
 class TestAugmentExp:

@@ -18,7 +18,17 @@ E2_REF = F("7.389056098930650227230427460575007813180315570551847324")
 J01_REF = F("0.7651976865579665514497175261026632209092742897553252419")
 
 
-# -- reference: the Fraction Horner that the integer enclosures replace
+# -- reference: the Fraction Horner and Fraction rounding that the integer
+# enclosures replace
+
+def ref_outward_round(iv, bits):
+    """iv with its endpoints rounded outward onto the dyadic grid 2^-bits:
+    both get denominator <= 2^bits, and the interval widens by at most
+    2^(1-bits)."""
+    scale = 2 ** bits
+    return RatInterval(F(math.floor(iv.lo * scale), scale),
+                       F(math.ceil(iv.hi * scale), scale))
+
 
 def ref_geometric_tail(c, x_abs, n):
     """c (c|x|)^(n+1)/(n+1)! / (1 - c|x|/(n+2)), or None if n+2 <= c|x|."""
@@ -44,7 +54,8 @@ def ref_taylor_enclosure(coefficients, c, x, width):
     acc = F(0)
     for a in reversed(coefficients(n)):
         acc = acc * x + a
-    return RatInterval(acc - tail, acc + tail).outward_round(_grid_bits(width))
+    return ref_outward_round(RatInterval(acc - tail, acc + tail),
+                             _grid_bits(width))
 
 
 def ref_eval_exp(r, width):
@@ -66,6 +77,17 @@ ENCLOSURE_SYSTEMS = {
     "kummer_exp_3_2": augment_exp(build_kummer(), F(3, 2)),
 }
 POINTS = [F(-7, 3), F(-1), F(-1, 2), F(0), F(1, 3), F(1), F(5, 2)]
+# points of [-4, 4] with denominators up to 10^6, and +-2^-1024
+FINE_POINTS = st.one_of(
+    st.integers(1, 10 ** 6).flatmap(
+        lambda den: st.integers(-4 * den, 4 * den).map(lambda k: F(k, den))),
+    st.sampled_from([F(1, 2 ** 1024), F(-1, 2 ** 1024)]))
+# widths k/10^j, for which the grid 2^-g falls strictly below width/8, and
+# 2^-1024
+DECIMAL_WIDTHS = st.one_of(
+    st.builds(lambda k, j: F(k, 10 ** j), st.integers(1, 999),
+              st.integers(0, 80)),
+    st.just(F(1, 2 ** 1024)))
 
 
 class TestAgainstFractionHorner:
@@ -90,6 +112,16 @@ class TestAgainstFractionHorner:
         sys = ENCLOSURE_SYSTEMS[name]
         i = min(i, sys.m - 1)
         width = F(1, 2 ** bits)
+        assert eval_component(sys, i, x, width) \
+            == ref_eval_component(sys, i, x, width)
+        assert eval_exp(x, width) == ref_eval_exp(x, width)
+
+    @settings(derandomize=True, max_examples=120, deadline=None)
+    @given(st.sampled_from(sorted(ENCLOSURE_SYSTEMS)), st.integers(0, 2),
+           FINE_POINTS, DECIMAL_WIDTHS)
+    def test_decimal_widths_and_fine_points(self, name, i, x, width):
+        sys = ENCLOSURE_SYSTEMS[name]
+        i = min(i, sys.m - 1)
         assert eval_component(sys, i, x, width) \
             == ref_eval_component(sys, i, x, width)
         assert eval_exp(x, width) == ref_eval_exp(x, width)
@@ -119,7 +151,7 @@ class TestRatIntervalContainment:
     @settings(derandomize=True, max_examples=200, deadline=None)
     @given(intervals, positions, st.integers(1, 80))
     def test_outward_round(self, a, ts, bits):
-        rounded = a.outward_round(bits)
+        rounded = ref_outward_round(a, bits)
         grid = F(1, 2 ** bits)
         assert rounded.lo.denominator <= 2 ** bits
         assert rounded.hi.denominator <= 2 ** bits
@@ -146,7 +178,7 @@ class TestRatInterval:
 
     def test_outward_round(self):
         iv = RatInterval(F(1, 3), F(1, 3))
-        r = iv.outward_round(8)
+        r = ref_outward_round(iv, 8)
         assert r.lo <= F(1, 3) <= r.hi
         assert r.lo.denominator <= 256 and r.hi.denominator <= 256
 

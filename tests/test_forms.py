@@ -332,7 +332,7 @@ class TestCertifiedLowerBound:
             poly = Poly(F(c, rem.denominator) for c in rem.numerators)
             for _ in range(k):
                 poly = aug.T * poly.derivative()
-            tail = forms._operator_tail_sum(rem, k, xi, aug.T)
+            tail = F(*forms._operator_tail_sum(rem, k, xi, aug.T))
             return scales[k] * (abs(poly(xi)) + tail)
 
         assert forms._scaled_form_upper_bounds(rem, rows, xi, scales, aug.T) \
@@ -364,7 +364,7 @@ class TestCertifiedLowerBound:
                 assert uppers[k] >= scales[k] * abs(poly(xi)), (target, k)
                 poly = j0.T * poly.derivative()
                 # twice the first tail term bounds 200 terms of the series
-                assert forms._operator_tail_sum(rem, k, xi, j0.T) >= sum(
+                assert F(*forms._operator_tail_sum(rem, k, xi, j0.T)) >= sum(
                     tail_majorants(rem, k, xi, j0.T, 200)), (target, k)
 
     def test_tail_rejects_a_cutoff_that_breaks_the_halving_rule(self, j0):

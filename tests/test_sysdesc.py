@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from efcert.algebra import Poly, RatFunc
 from efcert.efunction import augment_exp, catalog, extract_params
-from efcert.errors import EfcertError, InputError
+from efcert.errors import AllComponentsZero, EfcertError, InputError
 from efcert.sysdesc import (catalog_file, emit_system, frac_str, parse_ratfunc,
                             parse_rational, parse_system, poly_str,
                             ratfunc_str, resolve_system_path, system_from_dict)
@@ -140,7 +140,8 @@ class TestSystemFiles:
     @given(st.data())
     def test_generated_round_trip(self, data):
         # Polynomial entries of A and one seed per component, so the seed
-        # probe accepts every generated system.
+        # probe accepts every generated system; one whose seeds are all zero
+        # is refused.
         m = data.draw(st.integers(1, 3))
         fracs = st.builds(F, st.integers(-20, 20), st.integers(1, 9))
         entries = [[data.draw(st.lists(fracs, max_size=3)) for _ in range(m)]
@@ -168,6 +169,10 @@ class TestSystemFiles:
                 st.sampled_from(["global", "infinity", "0", "1/2", "-3"]),
                 st.builds(abs, fracs).map(str), min_size=1))
 
+        if not any(seeds):
+            with pytest.raises(AllComponentsZero, match="field 'seeds'"):
+                system_from_dict(json.loads(json.dumps(doc)))
+            return
         sys1 = system_from_dict(json.loads(json.dumps(doc)))
         assert sys1.A == tuple(tuple(RatFunc(Poly(e)) for e in row)
                                for row in entries)
@@ -244,10 +249,16 @@ class TestSystemFiles:
         ({**ONE, "A": [["2/z"]], "seeds": [["0"]]},
          "field 'seeds': coefficient of z^2 in component 1 is not pinned; "
          "supply more seed terms"),
+        ({**ONE, "seeds": [["0", "0/3"]]},
+         "field 'seeds': every seed is zero, so every component vanishes "
+         "identically; vanishing order undefined"),
+        ({**ONE, "labels": [[1]]},
+         "field 'labels': must be a list of 1 strings"),
     ], ids=["top_level", "m_zero", "labels", "growth_type", "growth_key",
             "growth_value", "T_rational", "T_zero", "T_not_clearing",
             "bound_value", "bound_negative", "bound_key",
-            "seeds_contradicted", "seeds_free"])
+            "seeds_contradicted", "seeds_free", "seeds_zero",
+            "labels_not_strings"])
     def test_errors_name_file_and_field(self, doc, message):
         with pytest.raises(EfcertError) as exc:
             system_from_dict(doc, "F.json")
