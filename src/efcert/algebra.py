@@ -300,11 +300,13 @@ class RatFunc:
 
     @staticmethod
     def constant(c: Rational | int) -> "RatFunc":
-        return RatFunc(Poly.constant(c))
+        """c over 1: reduced, with a monic denominator, as it stands."""
+        return RatFunc._of(Poly.constant(c), _POLY_ONE)
 
     @staticmethod
     def zero() -> "RatFunc":
-        return RatFunc(Poly.zero())
+        """The one zero: RatFunc is immutable, so it is shared."""
+        return _RATFUNC_ZERO
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
@@ -377,6 +379,10 @@ class RatFunc:
 
     def __repr__(self) -> str:
         return f"RatFunc({self.num!r}, {self.denom!r})"
+
+
+_POLY_ONE = Poly.one()
+_RATFUNC_ZERO = RatFunc._of(Poly.zero(), _POLY_ONE)
 
 
 # ---------------------------------------------------------------------------

@@ -115,15 +115,20 @@ def _combination(polys: Sequence[Sequence[int]],
     return out
 
 
+def check_system(basis: AuxiliaryBasis, sys: DiffSystem):
+    """InputError unless sys is the system the basis was constructed for."""
+    if sys != basis._system:
+        raise InputError("the system differs from the one the auxiliary "
+                         "basis was constructed for")
+
+
 def _remainder_upto(basis: AuxiliaryBasis, sys: DiffSystem, order: int
                     ) -> tuple[int, list[tuple[int, ...]], list[int]]:
     """(D, columns, D r_0..D r_order): the integer columns to the order over
     their denominator D, and R's coefficients over D, computing only those
     the basis lacks.  The store's denominator and D are prefix lcms of the
     same column denominators, so one divides the other."""
-    if sys != basis._system:
-        raise InputError("the system differs from the one the auxiliary "
-                         "basis was constructed for")
+    check_system(basis, sys)
     d, columns = sys.integer_coefficients(order)
     r_d, r = basis._r
     if len(r) <= order:

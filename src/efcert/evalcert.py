@@ -67,6 +67,15 @@ class RatInterval:
     def strictly_positive(self) -> bool:
         return self.lo > 0
 
+    def decimal(self, places: int = 12) -> str:
+        """[lo, hi] as decimals rounded outward to the given places, so
+        the printed interval still encloses this one."""
+        scale = 10 ** places
+        ends = (math.floor(self.lo * scale), math.ceil(self.hi * scale))
+        text = [f"{'-' if e < 0 else ''}{abs(e) // scale}."
+                f"{abs(e) % scale:0{places}d}" for e in ends]
+        return f"[{text[0]}, {text[1]}]"
+
 
 # ---------------------------------------------------------------------------
 # Series evaluation

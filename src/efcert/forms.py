@@ -20,6 +20,15 @@ whose right side is bounded from below using exact integers, a certified
 interval for f_l(xi), and rigorous upper bounds U_j >= |L_j| obtained by
 pushing the remainder's factorial tail through the operator T d/dz.
 
+The U_j are built only for an attempt the enclosures cannot refute.  Each
+evaluated row gives L_j = sum_i row_j[i] f_i(xi) = s_j R_{j+1}(xi), so every
+U_j >= |L_j| is at least the distance from 0 of the interval sum of the
+row times the enclosures.  If |f_l|_lower |D| is at most (m-1) max_j
+|D_{j,l}| times the largest of those distances, the numerator of the
+inequality is <= 0 whatever the U_j, and the attempt fails without its
+remainder.  No bound rests on this test: an attempt it cannot refute, and
+so every certified one, goes on to the remainder and the U_j.
+
 The ladder length K = m + t1 is the length within which the zero estimate
 guarantees rank m, not a number of rows to compute: rows are built, checked
 and evaluated only as the row selection reaches them, which is row 1 alone
@@ -39,7 +48,7 @@ from typing import Sequence
 
 from .algebra import Poly, Rational, cofactor, det_exact, horner, rank
 from .auxiliary import (AuxiliaryBasis, RemainderSeries, _combination,
-                        _remainder_upto, construct, remainder, validate_eps1)
+                        check_system, construct, remainder, validate_eps1)
 from .efunction import DiffSystem, extract_params
 from .errors import (ExhaustedN, InputError, MissingGrowthCertificate,
                      RankDeficientLadder, SingularEvaluationPoint)
@@ -70,13 +79,14 @@ class FormsLadder:
     degree_bounds, and each pair of consecutive built rows the ladder
     identity N_{k+1} = lambda T N_k' mod z^order on the integer series
     N_k = D lambda^k R_{k+1}, D the denominator of the system's integer
-    columns.  scaled_rows builds all K rows; rows gives the P_{k,i}
-    themselves as Poly.
+    columns (N_0 is computed from those columns when row 2 is first built).
+    scaled_rows builds all K rows; rows gives the P_{k,i} themselves as
+    Poly.
     """
 
     def __init__(self, basis: AuxiliaryBasis, sys: DiffSystem, K: int,
                  q: int, order: int, columns: Sequence[Sequence[int]],
-                 series: list[int], step: tuple[list[int], list]):
+                 step: tuple[list[int], list]):
         self.K = K
         self.n = basis.n
         self.q = q
@@ -86,7 +96,7 @@ class FormsLadder:
         self._order = order
         self._columns = columns
         self._step = step              # lambda T and lambda T A on integers
-        self._series = series          # N_k of the last row built
+        self._series: list[int] | None = None   # N_k of the last row built
         self._built = [self._checked_degrees(0, basis.int_polys)]
 
     def row(self, k: int) -> tuple[tuple[int, ...], ...]:
@@ -127,6 +137,9 @@ class FormsLadder:
         row = self._checked_degrees(
             k, _next_row(self._built[-1], lam_t, lam_ta))
         order = self._order
+        if self._series is None:
+            self._series = _combination(self._built[0], self._columns, 0,
+                                        order + 1)
         nxt = _combination(row, self._columns, 0, order + 1)
         derived = _combination([lam_t], [_derivative(self._series)], 0, order)
         if nxt[:order] != derived:
@@ -187,10 +200,10 @@ def build_ladder(basis: AuxiliaryBasis, sys: DiffSystem, K: int) -> FormsLadder:
     """
     if K < 1:
         raise InputError("ladder length must be >= 1")
+    check_system(basis, sys)
     q = extract_params(sys).q
     order = basis.achieved_order + K * (q + 1) + 8
-    # D R, row 1 of the identity check; InputError for another system
-    _, columns, series = _remainder_upto(basis, sys, order)
+    _, columns = sys.integer_coefficients(order)
     lam = sys.clear_factor
     lam_t = [lam * c.numerator for c in sys.T.coeffs]
     lam_ta = [[[int(lam * c) for c in p.coeffs] for p in row]
@@ -200,8 +213,7 @@ def build_ladder(basis: AuxiliaryBasis, sys: DiffSystem, K: int) -> FormsLadder:
                 != _combination(lam_ta[i], columns, 0, order)):
             raise AssertionError(
                 f"integer column {i + 1} fails T f' = (T A) f")
-    return FormsLadder(basis, sys, K, q, order, columns, series,
-                       (lam_t, lam_ta))
+    return FormsLadder(basis, sys, K, q, order, columns, (lam_t, lam_ta))
 
 
 class IntegerForms:
@@ -268,7 +280,7 @@ class BoundCertificate:
     delta: int
     target_cofactor: int                    # cofactor at (target row, ell)
     form_cofactors: tuple[int, ...]         # cofactors at (form row j, ell)
-    row_upper_bounds: tuple[Fraction, ...]  # U_j >= |s_k R_k(xi)|
+    row_upper_bounds: tuple[Fraction, ...]  # U_j >= |s_k R_k(xi)|, or ()
     f_ell_lower: Fraction
     lower_bound: Fraction | None
     attempts: tuple[AttemptRecord, ...] = field(default=())
@@ -382,6 +394,34 @@ def _enclosures(sys: DiffSystem, xi: Fraction, precision_bits: int,
     return [eval_component(sys, i, xi, width) for i in range(sys.m)]
 
 
+def _refuted(intervals: Sequence[RatInterval], rows: Sequence[Sequence[int]],
+             f_lower: Fraction, delta: int, form_cofs: Sequence[int]) -> bool:
+    """Whether the enclosures alone make the attempt fail: f_lower |delta|
+    <= (m-1) max|form_cofs| max_j |L_j|_lower, where |L_j|_lower is the
+    distance from 0 of sum_i rows[j][i] [lo_i, hi_i].  Each U_j >= |L_j| is
+    at least that, so the numerator of the determinant inequality is then
+    <= 0.  f_lower is an endpoint or 0, so all of it runs on integers over
+    the endpoints' common denominator (2^g for enclosures from
+    eval_component), which cancels from both sides."""
+    den = math.lcm(*(x.denominator for iv in intervals
+                     for x in (iv.lo, iv.hi)))
+    lo = [iv.lo.numerator * (den // iv.lo.denominator) for iv in intervals]
+    hi = [iv.hi.numerator * (den // iv.hi.denominator) for iv in intervals]
+    form_lower = 0
+    for row in rows:
+        low = high = 0
+        for c, a, b in zip(row, lo, hi):
+            if c < 0:
+                a, b = b, a
+            low += c * a
+            high += c * b
+        form_lower = max(form_lower, low, -high)
+    f_num = f_lower.numerator * (den // f_lower.denominator)
+    # len(form_cofs) = m - 1
+    return (f_num * abs(delta)
+            <= len(form_cofs) * max(map(abs, form_cofs)) * form_lower)
+
+
 def certified_lower_bound(sys: DiffSystem, xi: Rational,
                           target: Sequence[int], n: int, *,
                           eps1: Rational | None = None,
@@ -396,6 +436,14 @@ def certified_lower_bound(sys: DiffSystem, xi: Rational,
     ladder is built and evaluated only as far as this choice reaches.  The
     target is nonzero and comes first, so the choice falls short only when
     the K ladder rows have rank below m; then RankDeficientLadder is raised.
+
+    Before the remainder is built, the attempt is tested against the
+    enclosures alone (_refuted): each U_j >= |L_j| is at least the interval
+    lower bound of |L_j|, so if that already makes the numerator <= 0 the
+    attempt fails, and its certificate carries no row_upper_bounds.  The
+    test is exact, so every other attempt, certified or not, goes on to
+    the U_j and the inequality as before; at m = 1 there is no slack and
+    no test.
 
     component_intervals, when given, must be certified enclosures of the
     f_i(xi) (they are recomputed otherwise); adaptive_bound uses this to
@@ -444,28 +492,26 @@ def certified_lower_bound(sys: DiffSystem, xi: Rational,
     candidates = [l for l in range(m) if target_cofs[l] != 0]
     ell = max(candidates, key=lambda l: (intervals[l].abs_lower(), -l))
     f_lower = intervals[ell].abs_lower()
-
-    cutoff = _remainder_cutoff(basis, K, max(sys.T.degree, 0), sys.growth.C,
-                               xi)
-    rem = remainder(basis, sys, cutoff)
-    uppers = _scaled_form_upper_bounds(rem, selected, xi, forms.row_scales,
-                                       sys.T)
     form_cofs = tuple(cofactor(matrix, j, ell) for j in range(m - 1))
 
-    if m > 1:
-        slack = ((m - 1) * max(abs(c) for c in form_cofs)
-                 * max(uppers))
-    else:
-        slack = Fraction(0)
-    numerator = f_lower * abs(delta) - slack
-    if numerator > 0:
-        bound = numerator / abs(target_cofs[ell])
-        status = CERTIFIED
-    else:
-        bound = None
-        status = NOT_CERTIFIED
+    uppers, bound = (), None
+    if m == 1 or not _refuted(intervals, matrix[:-1], f_lower, delta, form_cofs):
+        cutoff = _remainder_cutoff(basis, K, max(sys.T.degree, 0),
+                                   sys.growth.C, xi)
+        rem = remainder(basis, sys, cutoff)
+        uppers = _scaled_form_upper_bounds(rem, selected, xi,
+                                           forms.row_scales, sys.T)
+        if m > 1:
+            slack = ((m - 1) * max(abs(c) for c in form_cofs)
+                     * max(uppers))
+        else:
+            slack = Fraction(0)
+        numerator = f_lower * abs(delta) - slack
+        if numerator > 0:
+            bound = numerator / abs(target_cofs[ell])
     return BoundCertificate(
-        status=status, n=n, eps1=eps1, xi=xi, target=target,
+        status=NOT_CERTIFIED if bound is None else CERTIFIED,
+        n=n, eps1=eps1, xi=xi, target=target,
         selected_rows=tuple(k + 1 for k in selected), ell=ell, delta=delta,
         target_cofactor=target_cofs[ell], form_cofactors=form_cofs,
         row_upper_bounds=uppers, f_ell_lower=f_lower, lower_bound=bound)

@@ -97,6 +97,7 @@ class _PointState:
 
     def __init__(self, sys: DiffSystem, xi: Fraction, config: LogConfig):
         self.config = config
+        self.xi = xi
         self.base = sys if xi == 1 else rescale(sys, xi)
         self._values: dict[int, RatInterval] = {}
         self._n0: dict[bool, int | None] = {}
@@ -115,16 +116,16 @@ class _PointState:
         iv = self.value(bits)
         if iv.hi <= 0:
             raise NonPositiveValue(
-                f"component value at 1 is negative; negate the function "
-                f"and retry (interval [{iv.lo}, {iv.hi}])")
+                f"f({self.xi}) is negative, in {iv.decimal()}; negate the "
+                f"function and retry")
         while (not iv.strictly_positive()
                and bits < self.config.max_precision_bits):
             bits *= 2
             iv = self.value(bits)
         if not iv.strictly_positive():
             raise NonPositiveValue(
-                f"component value at 1 not strictly positive at precision "
-                f"{bits} bits (interval [{iv.lo}, {iv.hi}])")
+                f"f({self.xi}) not strictly positive at precision {bits} "
+                f"bits, in {iv.decimal()}")
         return iv
 
     def n0(self, aug: DiffSystem, beta: Fraction) -> int | None:

@@ -228,7 +228,10 @@ def parse_rational(text: str) -> Fraction:
                          f"{_MAX_DIGITS} in magnitude")
     try:
         return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
+    except ZeroDivisionError:
+        raise InputError(
+            f"malformed rational {text!r}: zero denominator") from None
+    except ValueError as exc:
         raise InputError(f"malformed rational {text!r}: {exc}") from None
 
 

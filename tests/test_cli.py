@@ -534,3 +534,32 @@ class TestArgvPreprocessing:
     def test_unrelated_args_untouched(self):
         argv = ["bound", "s", "--n-max", "5"]
         assert cli._join_negative_values(argv) == argv
+
+
+class TestReadableErrors:
+    @pytest.mark.parametrize("argv", [
+        ("logbound", "bessel_j0", "--xi", "3", "--approx", "0"),
+        ("scan", "bessel_j0", "--xi", "3", "--bmax", "2", "--window", "1/2"),
+    ], ids=["logbound", "scan"])
+    def test_negative_value_named_at_the_given_point(self, capsys, argv):
+        # J0(3) = -0.2600519549019...; the rescaled system evaluates at 1
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert err == ("error: f(3) is negative, in [-0.260051954902, "
+                       "-0.260051954901]; negate the function and retry\n")
+
+    def test_zero_denominator_on_the_command_line(self, capsys):
+        code, out, err = run_cli(capsys, "bound", "bessel_j0", "--xi", "1/0",
+                                 "--target", "1,2")
+        assert (code, out) == (3, "")
+        assert err == "error: malformed rational '1/0': zero denominator\n"
+
+    def test_zero_denominator_in_a_system_file(self, capsys, tmp_path):
+        doc = json.loads(catalog_file("bessel_j0").read_text())
+        doc["growth"]["C"] = "1/0"
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run_cli(capsys, "params", str(path))
+        assert (code, out) == (3, "")
+        assert err == (f"error: {path}: field 'growth': malformed rational "
+                       f"'1/0': zero denominator\n")

@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -522,25 +523,41 @@ def _equivalence_cases(j0, exp_pair):
     yield augment_exp(j0, F(1, 3)), F(1, 2), (2, -5, 3)
 
 
+def _loop_attempts(sys, xi, target, bits):
+    """(certificate, reference) for every attempt of the adaptive loop up
+    to the one that certifies, on enclosures of width 2^-bits."""
+    intervals = [eval_component(sys, i, xi, F(1, 2 ** bits))
+                 for i in range(sys.m)]
+    for n in range(1, 41):
+        cert = certified_lower_bound(sys, xi, target, n,
+                                     precision_bits=bits,
+                                     component_intervals=intervals)
+        yield cert, ref_certificate(sys, xi, target, n, intervals)
+        if cert.certified:
+            return
+    raise AssertionError(f"no certification by n = 40 at {xi}, {target}")
+
+
+def _refuted(cert):
+    """An attempt failed from the enclosures carries no U_j (m >= 2)."""
+    return not cert.certified and cert.row_upper_bounds == ()
+
+
 class TestLazyLadder:
     """Rows are built, checked and evaluated only as the row selection
     reaches them."""
 
     def test_certificates_match_full_ladder(self, j0, exp_pair):
-        # every attempt of the adaptive loop, up to the one that certifies
+        # every attempt of the adaptive loop, up to the one that certifies;
+        # a refuted attempt skips the U_j, so only they may differ
         attempts = 0
         for sys, xi, target in _equivalence_cases(j0, exp_pair):
-            intervals = [eval_component(sys, i, xi, F(1, 2 ** 256))
-                         for i in range(sys.m)]
-            for n in range(1, 41):
-                cert = certified_lower_bound(sys, xi, target, n,
-                                             component_intervals=intervals)
-                assert cert == ref_certificate(sys, xi, target, n,
-                                               intervals), (xi, target, n)
+            for cert, ref in _loop_attempts(sys, xi, target, 256):
+                if _refuted(cert):
+                    assert not ref.certified, (xi, target, cert.n)
+                    ref = replace(ref, row_upper_bounds=())
+                assert cert == ref, (xi, target, cert.n)
                 attempts += 1
-                if cert.certified:
-                    break
-            assert cert.certified, (xi, target)
         assert attempts > 200, attempts
 
     def test_row_one_builds_no_further_row(self, j0, monkeypatch):
@@ -591,3 +608,38 @@ class TestLazyLadder:
             monkeypatch.setattr(sys, "_nums", nums)
             with pytest.raises(AssertionError, match="integer column"):
                 build_ladder(basis, sys, K)
+
+
+class TestRefutation:
+    """Attempts that the enclosures alone show to fail skip the remainder
+    and the U_j."""
+
+    @pytest.mark.parametrize("bits", [256, 16])
+    def test_refutes_only_failing_attempts(self, j0, exp_pair, bits):
+        # every attempt of the adaptive loop on the bound_deep grid, the
+        # criterion-5 targets and an m = 3 case, enumerated in order: no
+        # attempt the full computation certifies is refuted, and at 256
+        # bits every failing one is
+        failing = refuted = 0
+        for sys, xi, target in _equivalence_cases(j0, exp_pair):
+            for cert, ref in _loop_attempts(sys, xi, target, bits):
+                if ref.certified:
+                    assert cert == ref, (xi, target, cert.n)
+                else:
+                    assert not cert.certified, (xi, target, cert.n)
+                    failing += 1
+                    refuted += _refuted(cert)
+        assert failing > 200, failing
+        if bits == 256:
+            assert refuted == failing
+
+    def test_refuted_attempt_builds_no_remainder(self, j0, monkeypatch):
+        calls = []
+        rem = forms.remainder
+        monkeypatch.setattr(forms, "remainder",
+                            lambda *args: calls.append(1) or rem(*args))
+        target = (20184959, 78190016)
+        failed = certified_lower_bound(j0, F(1, 2), target, 3)
+        assert _refuted(failed) and calls == []
+        assert certified_lower_bound(j0, F(1, 2), target, 9).certified
+        assert calls == [1]
