@@ -243,8 +243,12 @@ class Poly:
         return Poly(q), Poly(rem)
 
     def gcd(self, other: "Poly") -> "Poly":
-        """Monic gcd.  Each remainder is made primitive, so the coefficients
-        stay integers of moderate size instead of growing fractions."""
+        """Monic gcd.  A pair of nonzero polynomials that _coprime_mod_prime
+        proves coprime has gcd 1 at once.  Otherwise Euclid runs over Q, each
+        remainder made primitive, so the coefficients stay integers of
+        moderate size instead of growing fractions."""
+        if self.coeffs and other.coeffs and _coprime_mod_prime(self, other):
+            return Poly.one()
         a, b = self, other
         while not b.is_zero():
             a, b = b, a.divmod(b)[1].primitive()
@@ -269,6 +273,57 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({list(self.coeffs)!r})"
+
+
+# a prime near 2^61 for _coprime_mod_prime: it divides a given leading
+# coefficient only by rare accident, and a gcd modulo it costs word-sized
+# arithmetic however large the integer coefficients are
+_GCD_PRIME = 2 ** 61 - 1
+
+
+def _residues(p: Poly) -> list[int] | None:
+    """The coefficients of the integer form of p (p times the lcm of its
+    denominators) modulo _GCD_PRIME, or None when the prime divides the
+    leading one."""
+    lcm = math.lcm(*(c.denominator for c in p.coeffs))
+    out = [c.numerator * (lcm // c.denominator) % _GCD_PRIME
+           for c in p.coeffs]
+    return out if out[-1] else None
+
+
+def _coprime_mod_prime(a: Poly, b: Poly) -> bool:
+    """True when the nonzero a and b are coprime modulo _GCD_PRIME, which
+    divides neither leading coefficient of their integer forms; then they
+    are coprime over Q.
+
+    Let G in Z[z] be a primitive gcd of the primitive forms of a and b
+    (Gauss's lemma).  It divides them, so its leading coefficient divides
+    theirs, and the prime does not divide it: G keeps its degree modulo the
+    prime, where it divides both, and so their gcd there.  A constant gcd
+    modulo the prime therefore makes G constant.  An integer form is its
+    content times the primitive form, and the prime divides neither factor
+    when it does not divide the leading coefficient, so the integer forms
+    have the same gcd modulo the prime as the primitive ones.  False means
+    only that this test cannot tell.
+    """
+    a, b = _residues(a), _residues(b)
+    if a is None or b is None:
+        return False
+    p = _GCD_PRIME
+    while len(b) > 1:                 # Euclid modulo p on dense lists
+        inv = pow(b[-1], -1, p)
+        db = len(b) - 1
+        while len(a) > db:
+            f = a[-1] * inv % p
+            s = len(a) - 1 - db
+            a[s:-1] = [(x - f * y) % p for x, y in zip(a[s:-1], b)]
+            a.pop()                   # a[-1] - f b[-1] = 0 modulo p
+            while a and not a[-1]:
+                a.pop()
+        if not a:
+            return False              # b divides a: degree >= 1
+        a, b = b, a
+    return True
 
 
 # ---------------------------------------------------------------------------

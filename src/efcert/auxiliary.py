@@ -10,10 +10,15 @@ The vanishing conditions are tau exact linear equations in the m(n+1)
 coefficients, so a nontrivial kernel always exists.  The kernel is found as
 a Hermite-Pade problem: an order basis of the integer Taylor columns at
 order tau, whose multiples of degree <= n span it, costs O(m tau) integer
-row operations instead of a dense tau x m(n+1) elimination.  That span is
-then put back into the canonical basis of the dense route (primitive kernel
-vectors from the reduced row echelon form of the vanishing matrix), and the
-basis vector of least max-norm (ties broken lexicographically) is returned.
+row operations instead of a dense tau x m(n+1) elimination.  The basis
+never drops a row, so it does not depend on n: each system keeps one
+(OrderBasis) and construct resumes it from the order it last reached, so
+the adaptive loop over n = 1, 2, ... processes each order once.  Its span
+at degree n is exactly that of a basis built for n alone (see OrderBasis).
+That span is then put back into the canonical basis of the dense route
+(primitive kernel vectors from the reduced row echelon form of the
+vanishing matrix), and the basis vector of least max-norm (ties broken
+lexicographically) is returned.
 The achieved order of vanishing is then computed, not assumed, by extending
 the series until a nonzero coefficient appears.
 
@@ -140,61 +145,111 @@ def _remainder_upto(basis: AuxiliaryBasis, sys: DiffSystem, order: int
     return d, columns, [c // scale for c in r[:order + 1]]
 
 
-def _vanishing_span(columns: Sequence[Sequence[int]], n: int, tau: int
-                    ) -> list[list[int]]:
-    """A basis of the vectors P (P_i[nu] at index i(n+1) + nu, deg P_i <= n)
-    with ord_0(sum_i P_i F_i) >= tau, from an order basis of the columns.
+class OrderBasis:
+    """An order basis of integer Taylor columns F_1..F_m, resumed order by
+    order: after advance(columns, tau) its rows b_l satisfy
+    ord_0(b_l . F) >= tau, and span(n) reads off a basis of the vectors P
+    (P_i[nu] at index i(n+1) + nu, deg P_i <= n) with ord_0(sum_i P_i F_i)
+    >= tau.
 
     M-Basis with a uniform shift (Beckermann & Labahn, SIAM J. Matrix Anal.
     Appl. 15, 1994; Giorgi, Jeannerod & Villard, ISSAC 2003): start from the
-    m unit rows; at each order k < tau divide the residuals (the z^k
-    coefficients of b_l . F) by their gcd, take as pivot the row with a
-    nonzero residual and the least (degree, index), replace every other such
-    row b_l by r_pi b_l - r_l b_pi made primitive, and multiply the pivot by
-    z.  A row whose degree passes n can no longer contribute and is dropped.
-    The rows stay in weak Popov form, the top-degree part of b_l ending in
-    block l, with their degrees as counted, so by the predictable-degree
-    property the z^j b_l, j <= n - deg b_l, are a basis.
+    m unit rows; at each order k divide the residuals (the z^k coefficients
+    of b_l . F) by their gcd, take as pivot the row with a nonzero residual
+    and the least (degree, index), replace every other such row b_l by
+    r_pi b_l - r_l b_pi made primitive, and multiply the pivot by z.  The
+    rows stay in weak Popov form, the top-degree part of b_l ending in block
+    l, with their degrees as counted, so by the predictable-degree property
+    the z^j b_l, j <= n - deg b_l, are a basis of the degree-n solutions.
+
+    No row is ever dropped, so one basis serves every n: the rows of degree
+    <= n evolve exactly as they would in a basis that dropped each row once
+    its degree passed n.  A row of degree > n pivots only when no row of
+    degree <= n has a nonzero residual, and then it changes only rows of
+    degree >= its own.  Otherwise the pivot is the same row, and g, the gcd
+    of a larger set of residuals, divides the dropping basis's g, so each
+    new row is a positive multiple of the one that basis forms, and the
+    primitive part cancels the factor.  The columns may be brought to a
+    larger common denominator between calls: that scales every residual of
+    one order by the same factor, which the division by g cancels.
 
     A row is kept interleaved, P_i[nu] at index nu m + i, so that one slice
     of the reversed, interleaved columns holds every F_i[k - nu] a residual
     needs, and multiplying by z shifts the row by m.
     """
-    m, size = len(columns), len(columns) * (n + 1)
-    series = [0] * (m * (tau + n))   # series[(tau-1-k) m + i] = F_i[k], then 0
-    for i, col in enumerate(columns):
-        series[i:m * tau:m] = col[:tau][::-1]
-    rows = {}
-    for l in range(m):
-        rows[l] = [0] * size
-        rows[l][l] = 1
-    degs = [0] * m
-    for top in range((tau - 1) * m, -1, -m):        # top = (tau-1-k) m
-        window = series[top:top + size]
-        res = {}
-        for l, row in rows.items():
-            r = sum(map(operator.mul, row, window))
-            if r:
-                res[l] = r
-        if not res:
-            continue
-        g = math.gcd(*res.values())
-        pi = min(res, key=degs.__getitem__)   # least (degree, index)
-        bp, rp = rows[pi], res.pop(pi) // g
-        for l, r in res.items():
-            r //= g
-            rows[l] = _primitive([rp * a - r * b for a, b in zip(rows[l], bp)])
-        degs[pi] += 1
-        if degs[pi] > n:
-            del rows[pi]
-        else:      # the degree-n slots of bp are 0, so the shift drops zeros
-            rows[pi] = [0] * m + bp[:-m]
-    span = []
-    for l, row in rows.items():
-        for j in range(n - degs[l] + 1):
-            shifted = [0] * (j * m) + row[:size - j * m]
-            span.append([e for i in range(m) for e in shifted[i::m]])
-    return span
+
+    __slots__ = ("rows", "degs", "order")
+
+    def __init__(self, m: int):
+        self.rows = [[int(i == l) for i in range(m)] for l in range(m)]
+        self.degs = [0] * m
+        self.order = 0
+
+    def advance(self, columns: Sequence[Sequence[int]], tau: int):
+        """Process the orders from self.order up to tau - 1; the columns
+        hold F_i[0..tau-1] at least."""
+        if tau <= self.order:
+            return
+        rows, degs = self.rows, self.degs
+        m = len(rows)
+        series = [0] * (m * tau)         # series[(tau-1-k) m + i] = F_i[k]
+        for i, col in enumerate(columns):
+            series[i::m] = col[:tau][::-1]
+        for top in range((tau - 1 - self.order) * m, -1, -m):
+            # row l has m(deg b_l + 1) entries, deg b_l <= k, so the window
+            # stays inside the series
+            window = series[top:top + m * (max(degs) + 1)]
+            res = {}
+            for l, row in enumerate(rows):
+                r = sum(map(operator.mul, row, window))
+                if r:
+                    res[l] = r
+            if not res:
+                continue
+            g = math.gcd(*res.values())
+            pi = min(res, key=degs.__getitem__)   # least (degree, index)
+            bp, rp = rows[pi], res.pop(pi) // g
+            for l, r in res.items():       # deg b_l >= deg b_pi
+                r //= g
+                row = rows[l]
+                rows[l] = _primitive([rp * a - r * b for a, b in zip(row, bp)]
+                                     + [rp * a for a in row[len(bp):]])
+            degs[pi] += 1
+            rows[pi] = [0] * m + bp
+        self.order = tau
+
+    def span(self, n: int) -> list[list[int]]:
+        """The z^j b_l, j <= n - deg b_l, over the rows of degree <= n, as
+        vectors P_i[nu] at index i(n+1) + nu."""
+        m = len(self.rows)
+        size = m * (n + 1)
+        out = []
+        for row, d in zip(self.rows, self.degs):
+            for j in range(n - d + 1):
+                shifted = [0] * (j * m) + row
+                shifted += [0] * (size - len(shifted))
+                out.append([e for i in range(m) for e in shifted[i::m]])
+        return out
+
+
+def _vanishing_span(columns: Sequence[Sequence[int]], n: int, tau: int
+                    ) -> list[list[int]]:
+    """A basis of the vectors P (P_i[nu] at index i(n+1) + nu, deg P_i <= n)
+    with ord_0(sum_i P_i F_i) >= tau: OrderBasis started at order 0."""
+    basis = OrderBasis(len(columns))
+    basis.advance(columns, tau)
+    return basis.span(n)
+
+
+def _system_order_basis(sys: DiffSystem, columns: Sequence[Sequence[int]],
+                        tau: int) -> OrderBasis:
+    """The system's OrderBasis advanced to order tau: resumed from the
+    order it reached, or started afresh when that is past tau."""
+    basis = sys._order_basis
+    if basis is None or basis.order > tau:
+        basis = sys._order_basis = OrderBasis(sys.m)
+    basis.advance(columns, tau)
+    return basis
 
 
 def _canonical_kernel(span: list[list[int]], width: int
@@ -217,7 +272,12 @@ def construct(sys: DiffSystem, n: int, eps1: Rational | None = None
               ) -> AuxiliaryBasis:
     """Solve the vanishing conditions exactly through an order basis and
     pick the smallest vector (max-norm, then lexicographic) of the canonical
-    kernel basis as the auxiliary basis."""
+    kernel basis as the auxiliary basis.
+
+    The order basis is the system's own, advanced to tau(n) from the order
+    an earlier call left it at (afresh when that is past tau(n)); its rows
+    of degree <= n give the same span as a basis built for n alone, so the
+    result does not depend on the calls before."""
     if n < 1:
         raise InputError("construct requires n >= 1")
     m = sys.m
@@ -225,7 +285,8 @@ def construct(sys: DiffSystem, n: int, eps1: Rational | None = None
     tau = vanishing_order_target(m, n, eps1)
     limit = tau + m * (n + 1) + _ACHIEVED_SEARCH_SLACK
     d, ext = sys.integer_coefficients(limit)
-    kernel = _canonical_kernel(_vanishing_span(ext, n, tau), m * (n + 1))
+    span = _system_order_basis(sys, ext, tau).span(n)
+    kernel = _canonical_kernel(span, m * (n + 1))
     if not kernel:
         raise AssertionError(
             "vanishing system has full column rank; dimension count violated")

@@ -114,7 +114,9 @@ class DiffSystem:
     Taylor coefficients are kept in one integer store.  A miss solves to
     exactly the order asked by resuming one elimination of the recurrence,
     kept with the system (its rows, back-substituted values and next
-    equation), so no equation is inserted twice.
+    equation), so no equation is inserted twice.  Likewise
+    auxiliary.construct resumes one order basis of the integer columns,
+    kept with the system, from the order it last reached.
     """
 
     def __init__(self, A: Sequence[Sequence[RatFunc]], T: Poly,
@@ -176,6 +178,8 @@ class DiffSystem:
                 self._rows[k * m + i] = ({k * m + i: Fraction(1)}, val)
                 self._pending.append(k * m + i)
         self._params: SystemParams | None = None
+        # auxiliary.OrderBasis of the integer columns, resumed by construct
+        self._order_basis = None
         self._probe_seeds()
 
     def _probe_seeds(self):
@@ -380,6 +384,7 @@ class _ExpAugmented(DiffSystem):
         self._q = base._q                   # deg beta T <= deg T
         self._e = max(base._e, beta_t.max_abs_coeff())
         self._params = None
+        self._order_basis = None
 
     def integer_coefficients(self, order: int
                              ) -> tuple[int, list[tuple[int, ...]]]:

@@ -442,8 +442,9 @@ def certified_lower_bound(sys: DiffSystem, xi: Rational,
     lower bound of |L_j|, so if that already makes the numerator <= 0 the
     attempt fails, and its certificate carries no row_upper_bounds.  The
     test is exact, so every other attempt, certified or not, goes on to
-    the U_j and the inequality as before; at m = 1 there is no slack and
-    no test.
+    the U_j and the inequality as before.  At m = 1 there are no form rows,
+    so no U_j and no slack: the remainder is not built, and the bound is
+    f_ell_lower |delta| / |target cofactor|.
 
     component_intervals, when given, must be certified enclosures of the
     f_i(xi) (they are recomputed otherwise); adaptive_bound uses this to
@@ -495,20 +496,20 @@ def certified_lower_bound(sys: DiffSystem, xi: Rational,
     form_cofs = tuple(cofactor(matrix, j, ell) for j in range(m - 1))
 
     uppers, bound = (), None
-    if m == 1 or not _refuted(intervals, matrix[:-1], f_lower, delta, form_cofs):
+    if m == 1:
+        numerator = f_lower * abs(delta)
+    elif _refuted(intervals, matrix[:-1], f_lower, delta, form_cofs):
+        numerator = 0
+    else:
         cutoff = _remainder_cutoff(basis, K, max(sys.T.degree, 0),
                                    sys.growth.C, xi)
         rem = remainder(basis, sys, cutoff)
         uppers = _scaled_form_upper_bounds(rem, selected, xi,
                                            forms.row_scales, sys.T)
-        if m > 1:
-            slack = ((m - 1) * max(abs(c) for c in form_cofs)
-                     * max(uppers))
-        else:
-            slack = Fraction(0)
-        numerator = f_lower * abs(delta) - slack
-        if numerator > 0:
-            bound = numerator / abs(target_cofs[ell])
+        numerator = (f_lower * abs(delta)
+                     - (m - 1) * max(abs(c) for c in form_cofs) * max(uppers))
+    if numerator > 0:
+        bound = numerator / abs(target_cofs[ell])
     return BoundCertificate(
         status=NOT_CERTIFIED if bound is None else CERTIFIED,
         n=n, eps1=eps1, xi=xi, target=target,

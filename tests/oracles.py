@@ -10,10 +10,15 @@ truncation.
 ref_combination forms exact series sums with ``Poly``, the package's
 Fraction polynomial, and shares nothing with the integer multiply-adds of
 ``auxiliary._combination`` that it checks.
+
+ref_truncated_span is the order basis built for one n alone, each row
+dropped once its degree passes n, on rows of m coefficient lists; it checks
+``auxiliary.OrderBasis``, which keeps every row and resumes across n.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import mpmath
@@ -33,6 +38,42 @@ def ref_combination(polys, series, start, stop) -> list[Fraction]:
         p = p if isinstance(p, Poly) else Poly(p)
         total = total + p * Poly(s[:stop])
     return [total.coefficient(k) for k in range(start, stop)]
+
+
+def ref_truncated_span(columns, n, tau) -> list[list[int]]:
+    """The solutions z^j b_l (deg <= n, P_i[nu] at index i(n+1) + nu) of an
+    M-Basis with a uniform shift of the integer columns at order tau, each
+    row b_l kept as m lists of n+1 coefficients and dropped once its degree
+    passes n: residuals divided by their gcd, the pivot the row of least
+    (degree, index) with a nonzero residual, every other such row replaced
+    by r_pi b_l - r_l b_pi divided by its content, the pivot times z."""
+    m = len(columns)
+    rows = {l: [[int(i == l)] + [0] * n for i in range(m)] for l in range(m)}
+    degs = [0] * m
+    for k in range(tau):
+        res = {}
+        for l, row in rows.items():
+            r = sum(p[nu] * columns[i][k - nu] for i, p in enumerate(row)
+                    for nu in range(min(k, n) + 1))
+            if r:
+                res[l] = r
+        if not res:
+            continue
+        g = math.gcd(*res.values())
+        pi = min(res, key=lambda l: (degs[l], l))
+        bp, rp = rows[pi], res.pop(pi) // g
+        for l, r in res.items():
+            new = [[rp * a - r // g * b for a, b in zip(p, q)]
+                   for p, q in zip(rows[l], bp)]
+            c = math.gcd(*(e for p in new for e in p))
+            rows[l] = [[e // c for e in p] for p in new]
+        degs[pi] += 1
+        if degs[pi] > n:
+            del rows[pi]
+        else:
+            rows[pi] = [[0] + p[:-1] for p in bp]
+    return [[e for p in row for e in [0] * j + p[:n + 1 - j]]
+            for l, row in rows.items() for j in range(n - degs[l] + 1)]
 
 
 def mpf_to_fraction(x) -> Fraction:

@@ -4,15 +4,18 @@ import math
 import operator
 import random
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from efcert import auxiliary
+from efcert import algebra, auxiliary
 from efcert.algebra import (Poly, RatFunc, cofactor, common_numerators,
                             det_exact, exp_numerators, kernel_basis,
                             prefix_numerators, rank)
 from efcert.sysdesc import catalog_file, parse_system
+
+from oracles import ref_truncated_span
 
 
 # -- reference: the Fraction eliminations that kernel_basis and rank replace
@@ -81,6 +84,16 @@ def ref_rank(matrix):
             echelon.append((lead, [a / v[lead] for a in v]))
             echelon.sort(key=lambda t: t[0])
     return len(echelon)
+
+
+_PRIME = algebra._GCD_PRIME
+# integers near multiples of the prime, over 1, 2, 3 or multiples of it
+_near_prime_fracs = st.builds(
+    F,
+    st.one_of(st.integers(-20, 20),
+              st.builds(lambda k, r: k * _PRIME + r, st.integers(-3, 3),
+                        st.integers(-3, 3))),
+    st.sampled_from([1, 2, 3, _PRIME, 6 * _PRIME]))
 
 
 def ref_gcd(a, b):
@@ -361,6 +374,60 @@ class TestOrderBasisKernel:
         assert auxiliary._canonical_kernel(span, 2) == []
 
 
+class TestResumedOrderBasis:
+    """One OrderBasis per system, resumed across (n, tau) requests, against
+    a basis built for each request alone that drops its rows past degree
+    n."""
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(vanishing_problems(), st.data())
+    def test_resumed_spans_match_fresh(self, problem, data):
+        # the requests ascend, repeat or descend in tau, and n moves freely,
+        # so rows pass degree n; between requests the columns gain a common
+        # factor, as they do when the store's denominator grows
+        columns, n_top, tau_top = problem
+        requests = data.draw(st.lists(
+            st.tuples(st.integers(1, n_top + 2), st.integers(1, tau_top)),
+            min_size=1, max_size=6))
+        if data.draw(st.booleans()):
+            requests.sort(key=lambda r: r[1])
+        sys = SimpleNamespace(m=len(columns), _order_basis=None)
+        scale = 1
+        for n, tau in requests:
+            scale *= data.draw(st.integers(1, 2 ** 64))
+            scaled = [[scale * e for e in col] for col in columns]
+            basis = auxiliary._system_order_basis(sys, scaled, tau)
+            assert basis.order == tau
+            span = basis.span(n)
+            assert span == ref_truncated_span(columns, n, tau)
+            assert span == auxiliary._vanishing_span(columns, n, tau)
+
+    def test_rows_past_degree_n_stay(self):
+        # exp(z), exp(2z), exp(3z) over 9!: order 7 leaves one row of
+        # degree 3, past n = 2, which a basis for n = 2 alone drops;
+        # resuming to order 10 for n = 3 needs it
+        columns = [[a ** k * math.factorial(9) // math.factorial(k)
+                    for k in range(10)] for a in (1, 2, 3)]
+        sys = SimpleNamespace(m=3, _order_basis=None)
+        basis = auxiliary._system_order_basis(sys, columns, 7)
+        assert basis.degs == [3, 2, 2]
+        assert basis.span(2) == ref_truncated_span(columns, 2, 7)
+        resumed = auxiliary._system_order_basis(sys, columns, 10)
+        assert resumed is basis
+        assert basis.span(3) == ref_truncated_span(columns, 3, 10)
+        assert len(basis.span(3)) == 2
+
+    def test_lower_order_starts_afresh(self):
+        columns = [[1, 1, 1, 1], [1, 2, 4, 8]]
+        sys = SimpleNamespace(m=2, _order_basis=None)
+        first = auxiliary._system_order_basis(sys, columns, 4)
+        again = auxiliary._system_order_basis(sys, columns, 4)
+        lower = auxiliary._system_order_basis(sys, columns, 2)
+        assert again is first and lower is not first
+        assert lower.order == 2 and sys._order_basis is lower
+        assert lower.span(1) == ref_truncated_span(columns, 1, 2)
+
+
 class TestAgainstLaplaceExpansion:
     # small entries, so zero pivots, row swaps and singular matrices occur
     @settings(derandomize=True, max_examples=200, deadline=None)
@@ -408,12 +475,47 @@ class TestPoly:
         assert rem.is_zero() and quo == Poly([-1, 1])
         assert p.gcd(q) == Poly([1, 1])
 
-    @settings(derandomize=True, max_examples=100, deadline=None)
-    @given(*[st.lists(st.fractions(min_value=-20, max_value=20,
-                                   max_denominator=6), max_size=5)] * 3)
-    def test_gcd_matches_fraction_euclid(self, common, a, b):
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(*[st.lists(st.one_of(st.fractions(min_value=-20, max_value=20,
+                                             max_denominator=6),
+                                _near_prime_fracs), max_size=5)] * 3,
+           st.booleans())
+    def test_gcd_matches_fraction_euclid(self, common, a, b, lead_p):
+        # also residues that collide modulo the prime of the coprimality
+        # test, denominators it divides, and with lead_p a leading
+        # coefficient it divides
         g, pa, pb = Poly(common), Poly(a), Poly(b)
-        assert (g * pa).gcd(g * pb) == ref_gcd(g * pa, g * pb)
+        if lead_p and not pa.is_zero():
+            pa = pa + Poly([0] * pa.degree + [(_PRIME - 1) * pa.leading()])
+        x, y = g * pa, g * pb
+        assert x.gcd(y) == ref_gcd(x, y)
+        if not (x.is_zero() or y.is_zero()) \
+                and algebra._coprime_mod_prime(x, y):
+            assert ref_gcd(x, y) == Poly.one()
+
+    def test_coprime_modulo_prime_cases(self):
+        z, one = Poly([0, 1]), Poly.one()
+        # coprime over Q, but z and z + p meet modulo p: Euclid decides
+        assert not algebra._coprime_mod_prime(z, Poly([_PRIME, 1]))
+        assert z.gcd(Poly([_PRIME, 1])) == one
+        # the prime divides a leading coefficient: no verdict, as a common
+        # factor p z + 1 is the constant 1 modulo p
+        lead_p = Poly([1, _PRIME])
+        assert not algebra._coprime_mod_prime(lead_p, z + one)
+        assert lead_p.gcd(z + one) == one
+        assert not algebra._coprime_mod_prime(lead_p, lead_p * z)
+        assert lead_p.gcd(lead_p * z) == lead_p.monic()
+        # a common factor is never taken for coprime
+        shared = Poly([2, 3]) * Poly([F(1, 7), 5, 1])
+        assert not algebra._coprime_mod_prime(shared, Poly([2, 3]) * z)
+        assert shared.gcd(Poly([2, 3]) * z) == Poly([F(2, 3), 1])
+        # high-order poles: coprime at once
+        a = Poly([1, 1])
+        b = Poly([2, 1])
+        for _ in range(5):
+            a, b = a * a, b * b
+        assert algebra._coprime_mod_prime(a, b)
+        assert a.gcd(b) == one == ref_gcd(a, b)
 
     def test_dilate_and_shift(self):
         p = Poly([1, 2, 3])

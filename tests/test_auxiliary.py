@@ -12,8 +12,8 @@ from efcert.auxiliary import (construct, default_eps1, remainder,
                               vanishing_order_target)
 from efcert.efunction import augment_exp, extract_params
 from efcert.errors import InputError
-from efcert.forms import (build_ladder, certified_lower_bound, evaluate_forms,
-                          ladder_length)
+from efcert.forms import (adaptive_bound, build_ladder, certified_lower_bound,
+                          evaluate_forms, ladder_length)
 
 from conftest import build_j0
 from oracles import ref_combination
@@ -102,6 +102,33 @@ class TestConstruct:
         a = construct(j0, 5)
         b = construct(j0, 5)
         assert a == b
+
+
+class TestResumedOrderBasis:
+    def test_adaptive_loop_processes_each_order_once(self, monkeypatch):
+        # the middle-height op at xi = 1/2 of the benchmark's bound_deep grid
+        processed = []
+        advance = auxiliary.OrderBasis.advance
+
+        def counting(self, columns, tau):
+            processed.append(tau - self.order)
+            advance(self, columns, tau)
+
+        monkeypatch.setattr(auxiliary.OrderBasis, "advance", counting)
+        cert = adaptive_bound(build_j0(), F(1, 2),
+                              (1957114438056792, 7581229628729569))
+        assert cert.certified and len(cert.attempts) == cert.n - 1 >= 10
+        taus = [vanishing_order_target(2, n, default_eps1(2))
+                for n in range(1, cert.n + 1)]
+        assert len(processed) == cert.n
+        assert sum(processed) == taus[-1] < sum(taus)
+
+    def test_construct_matches_a_fresh_system(self, j0):
+        # the session's j0 carries its basis from test to test
+        twin = build_j0()
+        for n in (5, 3, 3, 7, 6, 9):
+            assert construct(j0, n) == construct(twin, n)
+            assert construct(j0, n) == construct(build_j0(), n)
 
 
 class TestCombination:

@@ -13,7 +13,7 @@ from efcert import forms
 from efcert.algebra import Poly, RatFunc, cofactor, det_exact, rank
 from efcert.auxiliary import (_combination, construct, default_eps1,
                               remainder)
-from efcert.efunction import augment_exp, extract_params, make_system
+from efcert.efunction import augment_exp, catalog, extract_params, make_system
 from efcert.errors import (ExhaustedN, InputError, RankDeficientLadder,
                            SingularEvaluationPoint)
 from efcert.forms import (BoundCertificate, adaptive_bound, build_ladder,
@@ -643,3 +643,23 @@ class TestRefutation:
         assert _refuted(failed) and calls == []
         assert certified_lower_bound(j0, F(1, 2), target, 9).certified
         assert calls == [1]
+
+    @pytest.mark.parametrize("target", [(1,), (7,), (-3,), (10 ** 30,)])
+    def test_one_component_builds_no_remainder(self, target, monkeypatch):
+        # m = 1 has no form rows, so no U_j and no slack to build
+        def refuse(*args):
+            raise AssertionError("remainder built at m = 1")
+
+        sys = catalog("exp", beta=F(1, 3))[0]
+        xi = F(1, 2)
+        intervals = [eval_component(sys, 0, xi, F(1, 2 ** 256))]
+        degrees = (1, 2, 5, 20)
+        refs = [ref_certificate(sys, xi, target, n, intervals)
+                for n in degrees]
+        monkeypatch.setattr(forms, "remainder", refuse)
+        monkeypatch.setattr(forms, "_remainder_cutoff", refuse)
+        for n, ref in zip(degrees, refs):
+            cert = certified_lower_bound(sys, xi, target, n,
+                                         component_intervals=intervals)
+            assert cert.certified and cert.row_upper_bounds == ()
+            assert cert == ref
