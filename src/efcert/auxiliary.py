@@ -17,8 +17,10 @@ the adaptive loop over n = 1, 2, ... processes each order once.  Its span
 at degree n is exactly that of a basis built for n alone (see OrderBasis).
 That span is then put back into the canonical basis of the dense route
 (primitive kernel vectors from the reduced row echelon form of the
-vanishing matrix), and the basis vector of least max-norm (ties broken
-lexicographically) is returned.
+vanishing matrix): one fraction-free elimination of the span read right to
+left gives a row basis of the matrix in echelon form, and one kernel_basis
+of that basis the canonical kernel (_canonical_kernel).  The basis vector
+of least max-norm (ties broken lexicographically) is returned.
 The achieved order of vanishing is then computed, not assumed, by extending
 the series until a nonzero coefficient appears.
 
@@ -40,7 +42,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .algebra import Poly, Rational, _primitive, kernel_basis
+from .algebra import Poly, Rational, _primitive, _reduce_rows, kernel_basis
 from .efunction import DiffSystem
 from .errors import InputError, MissingGrowthCertificate
 
@@ -55,7 +57,7 @@ def validate_eps1(m: int, eps1: Rational | None) -> Fraction:
     """eps1 as a Fraction, default_eps1(m) when None; InputError unless
     0 < eps1 < 1/(2m-1)."""
     eps1 = default_eps1(m) if eps1 is None else Fraction(eps1)
-    if not 0 < eps1 < Fraction(1, 2 * m - 1):
+    if not 0 < eps1.numerator * (2 * m - 1) < eps1.denominator:
         raise InputError(
             f"eps1 must lie in (0, 1/{2 * m - 1}) for m={m}, got {eps1}")
     return eps1
@@ -256,16 +258,32 @@ def _canonical_kernel(span: list[list[int]], width: int
                       ) -> list[tuple[int, ...]]:
     """kernel_basis of the vanishing matrix, from a basis of its kernel.
 
-    The kernel of the span read right to left gives, read back, one row-space
-    vector per pivot of the matrix (pivots taken left to right), nonzero at
-    its pivot and zero at the others: a multiple of its reduced row echelon
-    row.  kernel_basis of those rows does no row operations and returns the
-    matrix's own kernel basis.  A zero matrix has every unit vector.
+    One fraction-free elimination (algebra._reduce_rows) of the span read
+    right to left gives its echelon rows row_r with pivots p_r.  For each
+    free column phi, x_phi = L and x_{p_r} = -row_r[phi] L / row_r[p_r], L
+    the lcm of the pivot entries, is a kernel vector of the reversed span:
+    read back, a row-space vector of the matrix, nonzero at the matrix's
+    pivot width - 1 - phi and zero at its other pivots.  With the rows taken
+    in reverse, that is a row basis already in echelon form, not made
+    primitive, and kernel_basis of it, which depends only on the row space,
+    does no row operations and returns the matrix's own kernel basis.  A
+    zero matrix has every unit vector.
     """
     if not span:
         return []
-    rref = [d[::-1] for d in reversed(kernel_basis([v[::-1] for v in span]))]
-    return kernel_basis(rref or [[0] * width])
+    rows, pivots = _reduce_rows([v[::-1] for v in span])
+    lcm = math.lcm(*(row[p] for row, p in zip(rows, pivots)))
+    taken = set(pivots)
+    basis = []
+    for free in range(width - 1, -1, -1):
+        if free in taken:
+            continue
+        vec = [0] * width
+        vec[free] = lcm
+        for row, p in zip(rows, pivots):
+            vec[p] = -row[free] * lcm // row[p]
+        basis.append(vec[::-1])
+    return kernel_basis(basis or [[0] * width])
 
 
 def construct(sys: DiffSystem, n: int, eps1: Rational | None = None
@@ -290,7 +308,7 @@ def construct(sys: DiffSystem, n: int, eps1: Rational | None = None
     if not kernel:
         raise AssertionError(
             "vanishing system has full column rank; dimension count violated")
-    vec = min(kernel, key=lambda v: (max(abs(e) for e in v), v))
+    vec = min(kernel, key=lambda v: (max(map(abs, v)), v))
     polys = tuple(Poly(vec[i * (n + 1):(i + 1) * (n + 1)]) for i in range(m))
     ints = tuple(tuple(c.numerator for c in p.coeffs) for p in polys)
 
@@ -304,7 +322,7 @@ def construct(sys: DiffSystem, n: int, eps1: Rational | None = None
     return AuxiliaryBasis(n=n, eps1=eps1, tau=tau, polys=polys,
                           achieved_order=len(r) - 1 if exact else limit + 1,
                           achieved_exact=exact,
-                          height=max(abs(e) for e in vec), _system=sys,
+                          height=max(map(abs, vec)), _system=sys,
                           int_polys=ints, _r=[d, r])
 
 

@@ -43,6 +43,12 @@ _MAX_WINDOW = 2
 _CEILINGS = (("n", "--n", _MAX_N), ("n_start", "--n-start", _MAX_N),
              ("n_max", "--n-max", _MAX_N), ("bmax", "--bmax", _MAX_BMAX),
              ("precision", "--precision", _MAX_PRECISION))
+# Ceilings on |--xi| and |--approx|, from measured times (README), above
+# every tested value (--xi 500 on bound, 3 elsewhere; --approx 7/3).
+# logbound and scan rescale the system by xi and adjoin exp(a/b z), a/b near
+# ln f(xi), so their work climbs with both far sooner than bound's.
+_MAX_XI = {"bound": 512, "logbound": 8, "scan": 8}
+_MAX_APPROX = 32
 
 
 def frac_decimal(x: Fraction, places: int = 40) -> str:
@@ -192,6 +198,13 @@ def _check_ceilings(args):
     if window is not None and parse_rational(window) > _MAX_WINDOW:
         raise InputError(
             f"--window {window} exceeds the ceiling {_MAX_WINDOW}")
+    command = getattr(args, "subcommand", None)
+    for dest, ceiling in (("xi", _MAX_XI.get(command)),
+                          ("approx", _MAX_APPROX)):
+        value = getattr(args, dest, None)
+        if value is not None and abs(parse_rational(value)) > ceiling:
+            raise InputError(f"--{dest} {value} exceeds the ceiling "
+                             f"{ceiling} in absolute value")
 
 
 def _load(arg: str) -> tuple[DiffSystem, str]:

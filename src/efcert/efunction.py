@@ -114,9 +114,12 @@ class DiffSystem:
     Taylor coefficients are kept in one integer store.  A miss solves to
     exactly the order asked by resuming one elimination of the recurrence,
     kept with the system (its rows, back-substituted values and next
-    equation), so no equation is inserted twice.  Likewise
-    auxiliary.construct resumes one order basis of the integer columns,
-    kept with the system, from the order it last reached.
+    equation), so no equation is inserted twice.  Likewise two consumers of
+    the integer columns keep their state with the system and resume it:
+    auxiliary.construct one order basis, from the order it last reached,
+    and forms.build_ladder the integer rows lambda T and lambda T A with
+    the order to which the columns are checked against them, so each
+    column coefficient is checked once per system.
     """
 
     def __init__(self, A: Sequence[Sequence[RatFunc]], T: Poly,
@@ -178,8 +181,11 @@ class DiffSystem:
                 self._rows[k * m + i] = ({k * m + i: Fraction(1)}, val)
                 self._pending.append(k * m + i)
         self._params: SystemParams | None = None
-        # auxiliary.OrderBasis of the integer columns, resumed by construct
+        # auxiliary.OrderBasis of the integer columns, resumed by construct,
+        # and forms.LadderStep, the ladder's integer T and T A with the order
+        # to which the columns are checked against them
         self._order_basis = None
+        self._ladder_step = None
         self._probe_seeds()
 
     def _probe_seeds(self):
@@ -355,7 +361,10 @@ class _ExpAugmented(DiffSystem):
     two to the lcm of their denominators.  Nor are the seeds probed again:
     the base's were probed when it was built, and the seed 1 of exp(beta z)
     is its closed form's constant term, which also makes p = 0; q is the
-    base's, and E = max(E_base, |beta| max|T|).
+    base's, and E = max(E_base, |beta| max|T|).  The ladder's column check
+    splits the same way (forms._system_step): the base checks its block on
+    its own, resumed across the systems built on it, and this system checks
+    the exp column alone.
     """
 
     def __init__(self, base: DiffSystem, beta: Fraction):
@@ -385,6 +394,7 @@ class _ExpAugmented(DiffSystem):
         self._e = max(base._e, beta_t.max_abs_coeff())
         self._params = None
         self._order_basis = None
+        self._ladder_step = None
 
     def integer_coefficients(self, order: int
                              ) -> tuple[int, list[tuple[int, ...]]]:

@@ -33,8 +33,10 @@ The ladder length K = m + t1 is the length within which the zero estimate
 guarantees rank m, not a number of rows to compute: rows are built, checked
 and evaluated only as the row selection reaches them, which is row 1 alone
 for most attempts.  The system's integer columns are checked against
-T f' = (T A) f once per ladder, which gives the ladder identity of every
-row, built or not.
+T f' = (T A) f to each ladder's order, which gives the ladder identity of
+every row, built or not; the check is kept with the system (LadderStep)
+and resumed, so the attempts of an adaptive loop, and the rows of a scan
+on one base, check each column coefficient once.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from typing import Sequence
 from .algebra import Poly, Rational, cofactor, det_exact, horner, rank
 from .auxiliary import (AuxiliaryBasis, RemainderSeries, _combination,
                         check_system, construct, remainder, validate_eps1)
-from .efunction import DiffSystem, extract_params
+from .efunction import DiffSystem, _ExpAugmented, extract_params
 from .errors import (ExhaustedN, InputError, MissingGrowthCertificate,
                      RankDeficientLadder, SingularEvaluationPoint)
 from .evalcert import RatInterval, eval_component
@@ -86,7 +88,7 @@ class FormsLadder:
 
     def __init__(self, basis: AuxiliaryBasis, sys: DiffSystem, K: int,
                  q: int, order: int, columns: Sequence[Sequence[int]],
-                 step: tuple[list[int], list]):
+                 step: LadderStep):
         self.K = K
         self.n = basis.n
         self.q = q
@@ -95,7 +97,7 @@ class FormsLadder:
         self.degree_bounds = tuple(basis.n + k * q for k in range(K))
         self._order = order
         self._columns = columns
-        self._step = step              # lambda T and lambda T A on integers
+        self._step = step
         self._series: list[int] | None = None   # N_k of the last row built
         self._built = [self._checked_degrees(0, basis.int_polys)]
 
@@ -133,15 +135,16 @@ class FormsLadder:
     def _extend(self):
         """Build the next row and check it against the last one."""
         k = len(self._built)
-        lam_t, lam_ta = self._step
+        step = self._step
         row = self._checked_degrees(
-            k, _next_row(self._built[-1], lam_t, lam_ta))
+            k, _next_row(self._built[-1], step.lam_t, step.lam_ta))
         order = self._order
         if self._series is None:
             self._series = _combination(self._built[0], self._columns, 0,
                                         order + 1)
         nxt = _combination(row, self._columns, 0, order + 1)
-        derived = _combination([lam_t], [_derivative(self._series)], 0, order)
+        derived = _combination([step.lam_t], [_derivative(self._series)], 0,
+                               order)
         if nxt[:order] != derived:
             raise AssertionError(
                 f"ladder identity failed between rows {k} and {k + 1}")
@@ -188,32 +191,89 @@ def _next_row(row: Sequence[Sequence[int]], lam_t: Sequence[int],
     return tuple(out)
 
 
+class LadderStep:
+    """lambda T and lambda T A of one system on integers, lambda its
+    clear_factor, and the order to which its integer columns F_i = D f_i
+    are checked against them: lambda T F_i' = sum_j (lambda T A)_{i,j} F_j
+    mod z^order.  The identity is linear in the columns, so a larger common
+    denominator D between checks changes nothing, and the coefficient store
+    is append-only, so a coefficient once checked stays checked.
+    """
+
+    __slots__ = ("lam_t", "lam_ta", "order")
+
+    def __init__(self, sys: DiffSystem):
+        lam = sys.clear_factor
+        self.lam_t = [lam * c.numerator for c in sys.T.coeffs]
+        self.lam_ta = [[[int(lam * c) for c in p.coeffs] for p in row]
+                       for row in sys.TA]
+        self.order = 0
+
+
+def _check_columns(lam_t: Sequence[int],
+                   rows: Sequence[Sequence[Sequence[int]]],
+                   columns: Sequence[Sequence[int]], start: int, stop: int,
+                   first: int):
+    """AssertionError unless lambda T F_i' = sum_j rows[i][j] F_j in the
+    coefficients start..stop-1, for each column F_i (numbered from first
+    in the message); the columns hold F_i[0..stop]."""
+    lo = max(0, start - len(lam_t) + 1)
+    for i, (row, col) in enumerate(zip(rows, columns)):
+        derivative = [0] * lo + [k * c for k, c in
+                                 enumerate(col[lo + 1:stop + 1], lo + 1)]
+        if (_combination([lam_t], [derivative], start, stop)
+                != _combination(row, columns, start, stop)):
+            raise AssertionError(
+                f"integer column {first + i + 1} fails T f' = (T A) f")
+
+
+def _system_step(sys: DiffSystem, order: int) -> LadderStep:
+    """The system's LadderStep, its columns checked to the order: from the
+    order already checked, so each coefficient is checked once per system.
+
+    A system with exp(beta z) adjoined is block diagonal: its base checks
+    the base block on its own step, and only the exp column E is checked
+    here, lambda' T E' = (lambda' beta T) E, lambda' a multiple of the
+    base's lambda.  Together they are the identity of every column."""
+    step = sys._ladder_step
+    if step is None:
+        step = sys._ladder_step = LadderStep(sys)
+    if step.order < order:
+        if isinstance(sys, _ExpAugmented):
+            _system_step(sys._base, order)
+            i = sys.m - 1
+            _check_columns(step.lam_t, [[step.lam_ta[i][i]]],
+                           [sys.integer_column(i, order)[1]], step.order,
+                           order, i)
+        else:
+            _check_columns(step.lam_t, step.lam_ta,
+                           sys.integer_coefficients(order)[1], step.order,
+                           order, 0)
+        step.order = order
+    return step
+
+
 def build_ladder(basis: AuxiliaryBasis, sys: DiffSystem, K: int) -> FormsLadder:
     """The K-row ladder of the auxiliary basis; its rows are built, checked
     and evaluated only as FormsLadder.row reaches them (failure of a check
     is an internal bug, not bad input).
 
     Here, before any row past the first, the system's integer columns
-    F_i = D f_i are checked against the system: lambda T F_i' =
-    sum_j (lambda T A)_{i,j} F_j mod z^order.  With the update rule this
-    gives N_{k+1} = lambda T N_k' for every row, built or not.
+    F_i = D f_i are checked against the system to the ladder's order:
+    lambda T F_i' = sum_j (lambda T A)_{i,j} F_j mod z^order.  With the
+    update rule this gives N_{k+1} = lambda T N_k' for every row, built or
+    not.  The check and lambda T, lambda T A on integers are the system's
+    (LadderStep), so an order checked for an earlier ladder of the system
+    is not checked again.
     """
     if K < 1:
         raise InputError("ladder length must be >= 1")
     check_system(basis, sys)
     q = extract_params(sys).q
     order = basis.achieved_order + K * (q + 1) + 8
+    step = _system_step(sys, order)
     _, columns = sys.integer_coefficients(order)
-    lam = sys.clear_factor
-    lam_t = [lam * c.numerator for c in sys.T.coeffs]
-    lam_ta = [[[int(lam * c) for c in p.coeffs] for p in row]
-              for row in sys.TA]
-    for i, col in enumerate(columns):
-        if (_combination([lam_t], [_derivative(col)], 0, order)
-                != _combination(lam_ta[i], columns, 0, order)):
-            raise AssertionError(
-                f"integer column {i + 1} fails T f' = (T A) f")
-    return FormsLadder(basis, sys, K, q, order, columns, (lam_t, lam_ta))
+    return FormsLadder(basis, sys, K, q, order, columns, step)
 
 
 class IntegerForms:

@@ -327,6 +327,33 @@ def vanishing_problems(draw):
     return [[scale * e for e in col] for col in columns], n, tau
 
 
+@st.composite
+def echelon_spans(draw):
+    """(span, width): a basis of a proper subspace of Q^width, drawn so that
+    read right to left it reduces to echelon rows with pivot entries of
+    2, 3, 4 or 6 (so that the row written for a free column may have content
+    > 1) and entries in -2..2, often 0, at the free columns; the rows are
+    then mixed by elementary row operations."""
+    width = draw(st.integers(2, 8))
+    pivots = sorted(draw(st.sets(st.integers(0, width - 1), min_size=1,
+                                 max_size=width - 1)))
+    rows = []
+    for p in pivots:
+        row = [0] * width
+        row[p] = draw(st.sampled_from((2, 3, 4, 6)))
+        for c in range(p + 1, width):
+            if c not in pivots:
+                row[c] = draw(st.integers(-2, 2))
+        rows.append(row)
+    for i, j in draw(st.lists(st.tuples(st.integers(0, len(rows) - 1),
+                                        st.integers(0, len(rows) - 1)),
+                              max_size=4)):
+        if i != j:
+            c = draw(st.integers(-3, 3))
+            rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
+    return [row[::-1] for row in rows], width
+
+
 def _pivot_and_degree(vec, w):
     """(i, d) for d the largest degree of the blocks P_i of vec and i the
     last block of that degree."""
@@ -356,6 +383,25 @@ class TestOrderBasisKernel:
                    for row in matrix for vec in span)
         pairs = [_pivot_and_degree(vec, w) for vec in span]
         assert len(set(pairs)) == len(pairs)
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(echelon_spans())
+    def test_any_kernel_basis_gives_the_dense_kernel(self, case):
+        span, width = case
+        matrix = [list(v) for v in ref_kernel(span)]
+        assert auxiliary._canonical_kernel(span, width) == ref_kernel(matrix)
+
+    def test_written_rows_not_primitive_and_zero_at_free_columns(self):
+        # the span read right to left reduces to [2,0,1,0], [0,4,0,1]: each
+        # row is zero at one free column, and with L = lcm(2, 4) the row
+        # written for free column 2 is (-2, 0, 4, 0), of content 2
+        echelon = [[2, 0, 1, 0], [0, 4, 0, 1]]
+        span = [echelon[0][::-1],
+                [a + b for a, b in zip(echelon[0][::-1], echelon[1][::-1])]]
+        assert algebra._reduce_rows([v[::-1] for v in span]) \
+            == (echelon, [0, 1])
+        matrix = [list(v) for v in ref_kernel(span)]
+        assert auxiliary._canonical_kernel(span, 4) == ref_kernel(matrix)
 
     def test_zero_matrix_gives_every_unit_vector(self):
         span = auxiliary._vanishing_span([[0, 0, 0], [0, 0, 0]], 1, 3)

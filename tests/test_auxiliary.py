@@ -15,7 +15,7 @@ from efcert.errors import InputError
 from efcert.forms import (adaptive_bound, build_ladder, certified_lower_bound,
                           evaluate_forms, ladder_length)
 
-from conftest import build_j0
+from conftest import build_exp_pair, build_j0, build_kummer
 from oracles import ref_combination
 
 
@@ -280,6 +280,18 @@ class TestSharedRemainder:
         assert twin is not j0
         build_ladder(basis, twin, 3)
         remainder(basis, twin, basis.achieved_order + 4)
+
+    def test_one_kernel_basis_per_construct(self, monkeypatch):
+        calls = []
+        kernel_basis = auxiliary.kernel_basis
+        monkeypatch.setattr(auxiliary, "kernel_basis",
+                            lambda m: calls.append(1) or kernel_basis(m))
+        for build in (build_j0, build_kummer, build_exp_pair):
+            sys = build()
+            for n in (1, 6, 12, 3):
+                calls.clear()
+                construct(sys, n)
+                assert len(calls) == 1, (build, n)
 
     def test_each_coefficient_computed_once(self, j0, monkeypatch):
         calls = []

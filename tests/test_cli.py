@@ -366,8 +366,19 @@ class TestWorkCeilings:
           "--window", "1e309"], "--window"),
         (["scan", "bessel_j0", "--xi", "1/2", "--bmax", "2",
           "--window", "201/100"], "--window"),
+        (["bound", "bessel_j0", "--xi", "1000", "--target", "1,2"], "--xi"),
+        (["logbound", "bessel_j0", "--xi", "-9", "--approx", "0"], "--xi"),
+        (["scan", "kummer_1_3_1_2", "--xi", "17/2", "--bmax", "2",
+          "--window", "1/2"], "--xi"),
+        (["logbound", "bessel_j0", "--xi", "1", "--approx", "1000"],
+         "--approx"),
+        (["logbound", "bessel_j0", "--xi", "1", "--approx", "-65/2"],
+         "--approx"),
+        (["logbound", "bessel_j0", "--xi", "1", "--approx", "1e4"],
+         "--approx"),
     ], ids=["n", "n_start", "n_max", "precision", "bmax", "scan_n_max",
-            "window_beyond_float", "window"])
+            "window_beyond_float", "window", "xi_bound", "xi_logbound",
+            "xi_scan", "approx", "approx_negative", "approx_exponent"])
     def test_over_ceiling_exits_3(self, argv, option):
         # A child process, so that a hang fails on the timeout and a crash
         # shows its traceback on stderr.
@@ -399,6 +410,42 @@ class TestWorkCeilings:
         with pytest.raises(InputError, match="exceeds the ceiling"):
             cli._check_ceilings(argparse.Namespace(
                 window=f"{cli._MAX_WINDOW}.001"))
+
+    def test_xi_and_approx_ceilings_themselves_allowed(self):
+        # both signs up to the ceiling, per command for --xi
+        assert sorted(cli._MAX_XI) == ["bound", "logbound", "scan"]
+        for command, ceiling in cli._MAX_XI.items():
+            for xi in (str(ceiling), f"-{ceiling}", "1/2"):
+                cli._check_ceilings(argparse.Namespace(subcommand=command,
+                                                       xi=xi))
+            with pytest.raises(InputError, match="^--xi .* exceeds the "
+                                                 "ceiling"):
+                cli._check_ceilings(argparse.Namespace(
+                    subcommand=command, xi=f"-{ceiling}.001"))
+        for approx in (str(cli._MAX_APPROX), f"-{cli._MAX_APPROX}", "-1/4"):
+            cli._check_ceilings(argparse.Namespace(subcommand="logbound",
+                                                   xi="1", approx=approx))
+        with pytest.raises(InputError, match="^--approx .* exceeds the "
+                                             "ceiling"):
+            cli._check_ceilings(argparse.Namespace(
+                subcommand="logbound", xi="1",
+                approx=f"{cli._MAX_APPROX}.001"))
+
+    def test_digest_cases_and_benchmark_grid_below_the_ceilings(self):
+        # every pinned report and every op the benchmark can run
+        import test_report_digests
+        sys.path.insert(0, str(Path(__file__).parents[1] / "bench"))
+        try:
+            import workloads
+        finally:
+            sys.path.pop(0)
+        argvs = [case.split() for case in test_report_digests.CASES]
+        argvs += [list(op.argv) for name in workloads.WORKLOADS
+                  for op in workloads.grid(name)]
+        assert len(argvs) > 53 + 20
+        for argv in argvs:
+            cli._check_ceilings(cli._PARSER.parse_args(
+                cli._join_negative_values(argv)))
 
 
 class TestExponentNotation:

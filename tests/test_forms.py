@@ -610,6 +610,62 @@ class TestLazyLadder:
                 build_ladder(basis, sys, K)
 
 
+    def test_column_check_resumes_from_the_order_checked(self, monkeypatch):
+        # a fresh system checks from order 0; a ladder at order o leaves the
+        # check at o, and the next ladder of the system, at a higher order,
+        # checks the orders past o and catches a numerator corrupted there
+        sys = build_j0()
+        assert sys._ladder_step is None
+        low = construct(sys, 3)
+        build_ladder(low, sys, 1)
+        checked = low.achieved_order + 2 + 8        # K (q + 1) + 8, q = 1
+        assert sys._ladder_step.order == checked
+        high = construct(sys, 6)
+        order = high.achieved_order + 2 + 8
+        assert order > checked + 2
+        sys.integer_coefficients(order)
+        nums = list(sys._nums)
+        nums[(checked + 1) * sys.m + 1] += 1
+        monkeypatch.setattr(sys, "_nums", nums)
+        for _ in range(2):                 # a failed check is not recorded
+            with pytest.raises(AssertionError, match="integer column"):
+                build_ladder(high, sys, 1)
+            assert sys._ladder_step.order == checked
+
+    def test_each_column_coefficient_checked_once(self, monkeypatch):
+        # over an adaptive loop of 14 attempts, and over rows of a scan that
+        # adjoin exp(beta z) to one base: the base's windows follow on from
+        # each other across attempts and rows, and each augmented system
+        # checks its exp column alone, from order 0
+        windows = []
+        check = forms._check_columns
+
+        def recording(lam_t, rows, columns, start, stop, first):
+            windows.append((len(rows), first, start, stop))
+            return check(lam_t, rows, columns, start, stop, first)
+
+        monkeypatch.setattr(forms, "_check_columns", recording)
+        sys = build_j0()
+        cert = adaptive_bound(sys, F(1, 2), (1957114438056792,
+                                             7581229628729569))
+        assert cert.n == 14 and len(cert.attempts) == 13
+        assert len(windows) > 1
+        assert [w[2] for w in windows] == [0] + [w[3] for w in windows[:-1]]
+        assert windows[-1][3] == sys._ladder_step.order
+        windows.clear()
+        base = build_j0()
+        for n, beta in zip((1, 3, 2), (F(-1, 4), F(1, 3), F(-2, 9))):
+            aug = augment_exp(base, beta)
+            certified_lower_bound(aug, 1, (1, 0, -1), n)
+        base_windows = [w for w in windows if w[:2] == (2, 0)]
+        exp_windows = [w for w in windows if w[:2] == (1, 2)]
+        assert len(base_windows) + len(exp_windows) == len(windows)
+        assert len(base_windows) == 2      # n = 2 needs no order past n = 3
+        assert [w[2] for w in exp_windows] == [0, 0, 0]
+        assert [w[2] for w in base_windows] \
+            == [0] + [w[3] for w in base_windows[:-1]]
+
+
 class TestRefutation:
     """Attempts that the enclosures alone show to fail skip the remainder
     and the U_j."""
