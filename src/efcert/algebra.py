@@ -2,15 +2,18 @@
 rational functions over Q, and exact linear algebra.
 
 Coefficients are ``fractions.Fraction`` (lowest terms, positive denominator)
-or integers, never floats.  ``prefix_numerators``, ``common_numerators`` and
-``exp_numerators`` put runs of coefficients over one common denominator, and
-``horner`` evaluates an integer polynomial at a/d as an integer.  ``Poly`` is
-an immutable dense coefficient tuple indexed by degree; ``RatFunc`` a reduced
-quotient of two.  The linear algebra clears each row's denominators once:
-one fraction-free Gauss-Jordan elimination serves ``kernel_basis`` and
-``rank``, and ``det_exact`` and ``cofactor`` use Bareiss elimination.
-Pivoting is first-nonzero in row-major order and kernel vectors are primitive
-with a positive leading entry, so repeated runs give identical output.
+or integers, never floats.  ``prefix_numerators`` and ``common_numerators``
+put runs of coefficients over one common denominator, ``exp_numerators`` is
+the one source of the Taylor numerators of exp(beta z) (e^z at beta = 1),
+and ``horner`` evaluates an integer polynomial at a/d as an integer.
+``Poly`` is an immutable dense coefficient tuple indexed by degree;
+``RatFunc`` a reduced quotient of two.  The linear algebra clears each row's
+denominators once: one fraction-free Gauss-Jordan elimination
+(``_reduce_rows``) serves ``kernel_basis`` and ``rank``, one rule
+(``_kernel_vectors``) writes the kernel vectors of its echelon rows, and
+``det_exact`` and ``cofactor`` use Bareiss elimination.  Pivoting is
+first-nonzero in row-major order and kernel vectors are primitive with a
+positive leading entry, so repeated runs give identical output.
 """
 
 from __future__ import annotations
@@ -60,17 +63,25 @@ def exp_numerators(beta: Fraction, order: int) -> tuple[int, list[int]]:
     is gcd(e_0, e_order) = gcd(order!, a^order): a prime p dividing a has
     v_p(e_k) = k v_p(a) + v_p(order!/k!) > v_p(order!) for k >= 1, since
     v_p(k!) < k, and any other prime does not divide e_order = a^order.
+    The ladder multiplies once per level, by b k; at a = 1 there is no
+    power pass and g = 1, and at g = 1 no division, so beta = 1,
+    (order!, [order!/k!]), costs what the bare factorial ladder does.
     """
-    a, b = beta.numerator, beta.denominator
-    tops = [1] * (order + 1)                  # b^(order-k) order!/k!
-    for k in range(order, 0, -1):
-        tops[k - 1] = tops[k] * b * k
-    nums, power = [], 1
-    for t in tops:
-        nums.append(power * t)
-        power *= a
-    g = math.gcd(nums[0], nums[-1])
-    return nums[0] // g, [e // g for e in nums]
+    a, b = beta.as_integer_ratio()
+    nums, top = [1], 1        # b^(order-k) order!/k! for k = order, ..., 0
+    for bk in range(b * order, 0, -b):
+        top *= bk
+        nums.append(top)
+    nums.reverse()
+    if a != 1:
+        power = 1
+        for k in range(order + 1):
+            nums[k] *= power
+            power *= a
+        g = math.gcd(nums[0], nums[-1])
+        if g != 1:
+            nums = [e // g for e in nums]
+    return nums[0], nums
 
 
 def horner(p: Sequence[int], a: int, d: int) -> int:
@@ -494,29 +505,37 @@ def _reduce_rows(matrix: Sequence[Sequence[Rational | int]]
     return rows[:len(pivots)], pivots
 
 
+def _kernel_vectors(rows: Sequence[Sequence[int]], pivots: Sequence[int],
+                    width: int) -> list[list[int]]:
+    """One kernel vector of the echelon rows (as _reduce_rows returns them)
+    per free column phi, ascending: x_phi = L and x_{p_r} = -row_r[phi] L /
+    row_r[p_r], L the lcm of all pivot entries, which makes every division
+    exact.  The vectors are not made primitive."""
+    lcm = math.lcm(*(row[p] for row, p in zip(rows, pivots)))
+    out = []
+    for free in sorted(set(range(width)) - set(pivots)):
+        vec = [0] * width
+        vec[free] = lcm
+        for row, p in zip(rows, pivots):
+            vec[p] = -row[free] * lcm // row[p]
+        out.append(vec)
+    return out
+
+
 def kernel_basis(matrix: Sequence[Sequence[Rational | int]]) -> list[tuple[int, ...]]:
     """Exact basis of the right kernel as primitive integer vectors.
 
     Deterministic: reduced row echelon form with first-nonzero pivoting, one
-    kernel vector per free column (ascending), each divided by its content
-    with the first nonzero entry made positive.  Empty list iff the matrix
-    has full column rank.
+    kernel vector per free column (ascending, from _kernel_vectors), each
+    divided by its content with the first nonzero entry made positive.  The
+    primitive part does not depend on the common multiple the vector was
+    written with.  Empty list iff the matrix has full column rank.
     """
     if not matrix or not matrix[0]:
         raise ValueError("kernel_basis needs at least one column")
-    ncols = len(matrix[0])
     rows, pivots = _reduce_rows(matrix)
     basis = []
-    for fc in range(ncols):
-        if fc in pivots:
-            continue
-        # x_fc = scale and x_pc = -row[fc] scale / row[pc] solve every row.
-        scale = math.lcm(*(row[pc] for row, pc in zip(rows, pivots)
-                           if row[fc]))
-        vec = [0] * ncols
-        vec[fc] = scale
-        for row, pc in zip(rows, pivots):
-            vec[pc] = -row[fc] * scale // row[pc]
+    for vec in _kernel_vectors(rows, pivots, len(matrix[0])):
         vec = _primitive(vec)
         if next(e for e in vec if e) < 0:
             vec = [-e for e in vec]

@@ -42,7 +42,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .algebra import Poly, Rational, _primitive, _reduce_rows, kernel_basis
+from .algebra import (Poly, Rational, _kernel_vectors, _primitive,
+                      _reduce_rows, kernel_basis)
 from .efunction import DiffSystem
 from .errors import InputError, MissingGrowthCertificate
 
@@ -73,30 +74,44 @@ def vanishing_order_target(m: int, n: int, eps1: Rational) -> int:
 class AuxiliaryBasis:
     """Integer polynomials P_1..P_m with ord_0(sum P_i f_i) >= tau.
 
-    achieved_order is the exact vanishing order when achieved_exact is True;
-    otherwise the search hit its limit and the order is >= achieved_order.
-    height is the max coefficient modulus over all P_i.
+    The P_i are stored once, as int_polys: integer coefficient tuples in
+    ascending degree without trailing zeros; polys is their Poly view, built
+    on access.  achieved_order is the exact vanishing order when
+    achieved_exact is True; otherwise the search hit its limit and the order
+    is >= achieved_order.  height is the max coefficient modulus over all
+    P_i.
 
-    Left out of == and repr, it keeps its system, the P_i as integer tuples
-    (int_polys) and the coefficients r_nu of R = sum P_i f_i found so far as
-    [D, [D r_0, D r_1, ...]], D a denominator of the integer columns, which
-    the ladder check and the remainder extend in place.
+    Left out of == and repr, it keeps its system and the coefficients r_nu
+    of R = sum P_i f_i found so far as [D, [D r_0, D r_1, ...]], D a
+    denominator of the integer columns, which the ladder's first identity
+    check and the remainder extend in place (_remainder_upto).
     """
 
     n: int
     eps1: Fraction
     tau: int
-    polys: tuple[Poly, ...]
+    int_polys: tuple[tuple[int, ...], ...]
     achieved_order: int
     achieved_exact: bool
     height: int
     _system: DiffSystem = field(compare=False, repr=False)
-    int_polys: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
     _r: list = field(compare=False, repr=False)
 
     @property
+    def polys(self) -> tuple[Poly, ...]:
+        return tuple(Poly(p) for p in self.int_polys)
+
+    @property
     def m(self) -> int:
-        return len(self.polys)
+        return len(self.int_polys)
+
+
+def _trimmed(coeffs: Sequence[int]) -> tuple[int, ...]:
+    """The integer coefficients without trailing zeros, as Poly trims."""
+    end = len(coeffs)
+    while end and not coeffs[end - 1]:
+        end -= 1
+    return tuple(coeffs[:end])
 
 
 def _combination(polys: Sequence[Sequence[int]],
@@ -129,14 +144,14 @@ def check_system(basis: AuxiliaryBasis, sys: DiffSystem):
                          "basis was constructed for")
 
 
-def _remainder_upto(basis: AuxiliaryBasis, sys: DiffSystem, order: int
-                    ) -> tuple[int, list[tuple[int, ...]], list[int]]:
-    """(D, columns, D r_0..D r_order): the integer columns to the order over
-    their denominator D, and R's coefficients over D, computing only those
-    the basis lacks.  The store's denominator and D are prefix lcms of the
-    same column denominators, so one divides the other."""
-    check_system(basis, sys)
-    d, columns = sys.integer_coefficients(order)
+def _remainder_upto(basis: AuxiliaryBasis, d: int,
+                    columns: Sequence[Sequence[int]], order: int) -> list[int]:
+    """R's coefficients D r_0..D r_order over D, given the integer columns
+    of the basis's system to the order over their denominator D, as the
+    caller holds them (remainder, and the ladder's first identity check):
+    only the coefficients the basis's store lacks are computed, and kept in
+    it.  The store's denominator and D are prefix lcms of the same column
+    denominators, so one divides the other."""
     r_d, r = basis._r
     if len(r) <= order:
         e = math.lcm(r_d, d)
@@ -144,7 +159,7 @@ def _remainder_upto(basis: AuxiliaryBasis, sys: DiffSystem, order: int
         r[:] = [c * (e // r_d) for c in r] + [c * (e // d) for c in new]
         basis._r[0] = r_d = e
     scale = r_d // d
-    return d, columns, [c // scale for c in r[:order + 1]]
+    return [c // scale for c in r[:order + 1]]
 
 
 class OrderBasis:
@@ -234,15 +249,6 @@ class OrderBasis:
         return out
 
 
-def _vanishing_span(columns: Sequence[Sequence[int]], n: int, tau: int
-                    ) -> list[list[int]]:
-    """A basis of the vectors P (P_i[nu] at index i(n+1) + nu, deg P_i <= n)
-    with ord_0(sum_i P_i F_i) >= tau: OrderBasis started at order 0."""
-    basis = OrderBasis(len(columns))
-    basis.advance(columns, tau)
-    return basis.span(n)
-
-
 def _system_order_basis(sys: DiffSystem, columns: Sequence[Sequence[int]],
                         tau: int) -> OrderBasis:
     """The system's OrderBasis advanced to order tau: resumed from the
@@ -259,30 +265,21 @@ def _canonical_kernel(span: list[list[int]], width: int
     """kernel_basis of the vanishing matrix, from a basis of its kernel.
 
     One fraction-free elimination (algebra._reduce_rows) of the span read
-    right to left gives its echelon rows row_r with pivots p_r.  For each
-    free column phi, x_phi = L and x_{p_r} = -row_r[phi] L / row_r[p_r], L
-    the lcm of the pivot entries, is a kernel vector of the reversed span:
-    read back, a row-space vector of the matrix, nonzero at the matrix's
-    pivot width - 1 - phi and zero at its other pivots.  With the rows taken
-    in reverse, that is a row basis already in echelon form, not made
-    primitive, and kernel_basis of it, which depends only on the row space,
-    does no row operations and returns the matrix's own kernel basis.  A
-    zero matrix has every unit vector.
+    right to left gives its echelon rows row_r with pivots p_r, and
+    algebra._kernel_vectors, the rule kernel_basis writes its own vectors
+    with, one kernel vector of the reversed span per free column phi:
+    x_phi = L and x_{p_r} = -row_r[phi] L / row_r[p_r], L the lcm of all
+    pivot entries.  Read back, it is a row-space vector of the matrix,
+    nonzero at the matrix's pivot width - 1 - phi and zero at its other
+    pivots.  With the vectors taken in reverse, that is a row basis already
+    in echelon form, not made primitive, and kernel_basis of it, which
+    depends only on the row space, does no row operations and returns the
+    matrix's own kernel basis.  A zero matrix has every unit vector.
     """
     if not span:
         return []
     rows, pivots = _reduce_rows([v[::-1] for v in span])
-    lcm = math.lcm(*(row[p] for row, p in zip(rows, pivots)))
-    taken = set(pivots)
-    basis = []
-    for free in range(width - 1, -1, -1):
-        if free in taken:
-            continue
-        vec = [0] * width
-        vec[free] = lcm
-        for row, p in zip(rows, pivots):
-            vec[p] = -row[free] * lcm // row[p]
-        basis.append(vec[::-1])
+    basis = [v[::-1] for v in reversed(_kernel_vectors(rows, pivots, width))]
     return kernel_basis(basis or [[0] * width])
 
 
@@ -309,8 +306,8 @@ def construct(sys: DiffSystem, n: int, eps1: Rational | None = None
         raise AssertionError(
             "vanishing system has full column rank; dimension count violated")
     vec = min(kernel, key=lambda v: (max(map(abs, v)), v))
-    polys = tuple(Poly(vec[i * (n + 1):(i + 1) * (n + 1)]) for i in range(m))
-    ints = tuple(tuple(c.numerator for c in p.coeffs) for p in polys)
+    ints = tuple(_trimmed(vec[i * (n + 1):(i + 1) * (n + 1)])
+                 for i in range(m))
 
     r = _combination(ints, ext, 0, tau)
     for k, c in enumerate(r):
@@ -319,11 +316,10 @@ def construct(sys: DiffSystem, n: int, eps1: Rational | None = None
     while len(r) <= limit and not any(r[tau:]):
         r += _combination(ints, ext, len(r), len(r) + 1)
     exact = any(r[tau:])
-    return AuxiliaryBasis(n=n, eps1=eps1, tau=tau, polys=polys,
+    return AuxiliaryBasis(n=n, eps1=eps1, tau=tau, int_polys=ints,
                           achieved_order=len(r) - 1 if exact else limit + 1,
                           achieved_exact=exact,
-                          height=max(map(abs, vec)), _system=sys,
-                          int_polys=ints, _r=[d, r])
+                          height=max(map(abs, vec)), _system=sys, _r=[d, r])
 
 
 @dataclass(frozen=True)
@@ -362,7 +358,9 @@ def remainder(basis: AuxiliaryBasis, sys: DiffSystem, cutoff: int
             f"{basis.achieved_order}")
     if sys.growth is None:
         raise MissingGrowthCertificate("remainder tail needs a growth certificate")
-    d, _, nums = _remainder_upto(basis, sys, cutoff)
+    check_system(basis, sys)
+    d, columns = sys.integer_coefficients(cutoff)
+    nums = _remainder_upto(basis, d, columns, cutoff)
     return RemainderSeries(denominator=d, numerators=tuple(nums),
                            cutoff=cutoff, m=sys.m, n=basis.n,
                            height=basis.height,

@@ -122,6 +122,14 @@ class DiffSystem:
     column coefficient is checked once per system.
     """
 
+    # caches, set on the instance when first filled: extract_params's
+    # SystemParams, auxiliary.construct's OrderBasis of the integer columns,
+    # and forms.build_ladder's LadderStep, the ladder's integer T and T A
+    # with the order to which the columns are checked against them
+    _params: SystemParams | None = None
+    _order_basis = None
+    _ladder_step = None
+
     def __init__(self, A: Sequence[Sequence[RatFunc]], T: Poly,
                  seeds: Sequence[Sequence[Rational | int]],
                  labels: Sequence[str] | None = None,
@@ -180,12 +188,6 @@ class DiffSystem:
             for k, val in enumerate(seq):   # unit rows on distinct unknowns
                 self._rows[k * m + i] = ({k * m + i: Fraction(1)}, val)
                 self._pending.append(k * m + i)
-        self._params: SystemParams | None = None
-        # auxiliary.OrderBasis of the integer columns, resumed by construct,
-        # and forms.LadderStep, the ladder's integer T and T A with the order
-        # to which the columns are checked against them
-        self._order_basis = None
-        self._ladder_step = None
         self._probe_seeds()
 
     def _probe_seeds(self):
@@ -392,9 +394,6 @@ class _ExpAugmented(DiffSystem):
                                      *(c.denominator for c in beta_t.coeffs))
         self._q = base._q                   # deg beta T <= deg T
         self._e = max(base._e, beta_t.max_abs_coeff())
-        self._params = None
-        self._order_basis = None
-        self._ladder_step = None
 
     def integer_coefficients(self, order: int
                              ) -> tuple[int, list[tuple[int, ...]]]:

@@ -4,9 +4,10 @@ Values of the modelled entire functions at rational points are produced as
 intervals [lo, hi] with exact rational endpoints: an exact partial sum of the
 Taylor series plus a proven tail majorant from the growth certificate,
 rounded outward onto a dyadic grid.  The partial sum is one integer Horner
-(over ``DiffSystem.integer_column``, or n!/k! over n! for e^r), and each
-endpoint is one floor or ceiling division of integers, made a ``Fraction``
-once.  No floating point is involved anywhere, so downstream comparisons
+(over ``DiffSystem.integer_column``, or, for e^r, the numerators n!/k! over
+n! that ``algebra.exp_numerators`` gives at beta = 1), and each endpoint is
+one floor or ceiling division of integers, made a ``Fraction`` once.  No
+floating point is involved anywhere, so downstream comparisons
 (sign tests, lower bounds) are exact.
 
 Tail majorant: if the scaled coefficients satisfy |phi_k| <= C^(k+1), then
@@ -24,8 +25,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import Rational, horner
+from .algebra import Rational, exp_numerators, horner
 from .errors import MissingGrowthCertificate
+
+_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -156,14 +159,6 @@ def eval_component(sys, i: int, x: Rational | int,
                              Fraction(sys.growth.C), x, width)
 
 
-def _exp_numerators(n: int) -> tuple[int, list[int]]:
-    """The Taylor coefficients 1/k! of e^z, k = 0..n, as (n!, [n!/k!])."""
-    nums = [1] * (n + 1)
-    for k in range(n, 0, -1):
-        nums[k - 1] = nums[k] * k
-    return nums[0], nums
-
-
 def eval_exp(r: Rational | int, target_width: Rational) -> RatInterval:
     """Interval of width <= target_width containing e^r for rational r."""
     r = Fraction(r)
@@ -171,7 +166,7 @@ def eval_exp(r: Rational | int, target_width: Rational) -> RatInterval:
     if width <= 0:
         raise ValueError("target_width must be positive")
     # e^r = sum r^k/k!: phi_k = 1 <= 1^(k+1)
-    return _taylor_enclosure(_exp_numerators, Fraction(1), r, width)
+    return _taylor_enclosure(lambda n: exp_numerators(_ONE, n), _ONE, r, width)
 
 
 def exp_upper_bound(r: Rational | int) -> Fraction:

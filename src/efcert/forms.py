@@ -43,14 +43,14 @@ from __future__ import annotations
 
 import logging
 import math
-import operator
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Sequence
 
 from .algebra import Poly, Rational, cofactor, det_exact, horner, rank
 from .auxiliary import (AuxiliaryBasis, RemainderSeries, _combination,
-                        check_system, construct, remainder, validate_eps1)
+                        _remainder_upto, _trimmed, check_system, construct,
+                        remainder, validate_eps1)
 from .efunction import DiffSystem, _ExpAugmented, extract_params
 from .errors import (ExhaustedN, InputError, MissingGrowthCertificate,
                      RankDeficientLadder, SingularEvaluationPoint)
@@ -80,22 +80,26 @@ class FormsLadder:
     row(k) first reaches it: each built row has its degrees checked against
     degree_bounds, and each pair of consecutive built rows the ladder
     identity N_{k+1} = lambda T N_k' mod z^order on the integer series
-    N_k = D lambda^k R_{k+1}, D the denominator of the system's integer
-    columns (N_0 is computed from those columns when row 2 is first built).
+    N_k = D lambda^k R_{k+1}, D the denominator d of the system's integer
+    columns to the order.  N_0 = D R is read from the basis's store of R
+    when row 2 is first built (auxiliary._remainder_upto, which computes
+    only the coefficients the store lacks); N_k for k >= 1 from the columns.
     scaled_rows builds all K rows; rows gives the P_{k,i} themselves as
     Poly.
     """
 
     def __init__(self, basis: AuxiliaryBasis, sys: DiffSystem, K: int,
-                 q: int, order: int, columns: Sequence[Sequence[int]],
-                 step: LadderStep):
+                 q: int, order: int, d: int,
+                 columns: Sequence[Sequence[int]], step: LadderStep):
         self.K = K
         self.n = basis.n
         self.q = q
         self.clear_factor = sys.clear_factor
         self.t_poly = sys.T
         self.degree_bounds = tuple(basis.n + k * q for k in range(K))
+        self._basis = basis
         self._order = order
+        self._d = d
         self._columns = columns
         self._step = step
         self._series: list[int] | None = None   # N_k of the last row built
@@ -140,8 +144,8 @@ class FormsLadder:
             k, _next_row(self._built[-1], step.lam_t, step.lam_ta))
         order = self._order
         if self._series is None:
-            self._series = _combination(self._built[0], self._columns, 0,
-                                        order + 1)
+            self._series = _remainder_upto(self._basis, self._d,
+                                           self._columns, order)
         nxt = _combination(row, self._columns, 0, order + 1)
         derived = _combination([step.lam_t], [_derivative(self._series)], 0,
                                order)
@@ -156,39 +160,30 @@ def _derivative(p: Sequence[int]) -> list[int]:
     return [j * c for j, c in enumerate(p)][1:]
 
 
-def _mul_into(out: list[int], a: Sequence[int], b: Sequence[int]
-              ) -> list[int]:
-    """Add the product of the integer coefficient lists a and b into out,
-    extending out with zeros to the product's length: one multiply-add pass
-    over the operand with more nonzero coefficients per nonzero coefficient
-    of the other."""
-    if not a or not b:
-        return out
-    if len(a) - a.count(0) > len(b) - b.count(0):
-        a, b = b, a
-    width = len(b)
-    out += [0] * (len(a) + width - 1 - len(out))
-    for i, x in enumerate(a):
-        if x:
-            out[i:i + width] = map(operator.add, out[i:i + width],
-                                   map(x.__mul__, b))
-    return out
+def _products(shorts: Sequence[Sequence[int]],
+              longs: Sequence[Sequence[int]]) -> list[int]:
+    """sum_i shorts[i] longs[i] for integer coefficient lists, as one
+    auxiliary._combination: the short operands are its polynomials, so the
+    passes follow their nonzero coefficients, and the long ones, padded with
+    zeros to the sum's length, its columns.  A pair with an empty operand
+    is skipped, so the sum may be empty."""
+    pairs = [(a, b) for a, b in zip(shorts, longs) if a and b]
+    width = max((len(a) + len(b) - 1 for a, b in pairs), default=0)
+    return _combination([a for a, _ in pairs],
+                        [list(b) + [0] * (width - len(b)) for _, b in pairs],
+                        0, width)
 
 
 def _next_row(row: Sequence[Sequence[int]], lam_t: Sequence[int],
               lam_ta: Sequence[Sequence[Sequence[int]]]
               ) -> tuple[tuple[int, ...], ...]:
-    """S_{k+1,j} = lambda T S_{k,j}' + sum_i S_{k,i} (lambda T A)_{i,j} for
-    the integer rows S_k = lambda^k P_k."""
-    out = []
-    for j in range(len(row)):
-        acc = _mul_into([], lam_t, _derivative(row[j]))
-        for i, p in enumerate(row):
-            _mul_into(acc, p, lam_ta[i][j])
-        while acc and not acc[-1]:
-            acc.pop()
-        out.append(tuple(acc))
-    return tuple(out)
+    """S_{k+1,j} = lambda T S_{k,j}' + sum_i (lambda T A)_{i,j} S_{k,i} for
+    the integer rows S_k = lambda^k P_k, each entry one _products with the
+    short operands lambda T and (lambda T A)_{i,j} first."""
+    m = len(row)
+    return tuple(_trimmed(_products([lam_t] + [lam_ta[i][j] for i in range(m)],
+                                    [_derivative(row[j])] + list(row)))
+                 for j in range(m))
 
 
 class LadderStep:
@@ -272,8 +267,8 @@ def build_ladder(basis: AuxiliaryBasis, sys: DiffSystem, K: int) -> FormsLadder:
     q = extract_params(sys).q
     order = basis.achieved_order + K * (q + 1) + 8
     step = _system_step(sys, order)
-    _, columns = sys.integer_coefficients(order)
-    return FormsLadder(basis, sys, K, q, order, columns, step)
+    d, columns = sys.integer_coefficients(order)
+    return FormsLadder(basis, sys, K, q, order, d, columns, step)
 
 
 class IntegerForms:
@@ -415,7 +410,7 @@ def _scaled_form_upper_bounds(rem: RemainderSeries, ladder_rows: list[int],
     power = 0
     for k in ladder_rows:
         for _ in range(k - power):
-            poly = _mul_into([], t, _derivative(poly))
+            poly = _products([t], [_derivative(poly)])
         power = k
         tail_num, tail_den = _operator_tail_sum(rem, k, xi, t_poly)
         value = abs(horner(poly, a, d))

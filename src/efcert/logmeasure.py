@@ -163,7 +163,8 @@ def log_lower_bound(sys: DiffSystem, xi: Rational, a: int, b: int,
     fatal, as long as the interval route separates f(xi) from exp(a/b);
     ExhaustedN propagates only when both routes fail.  measure_scan passes
     the rows of one scan a shared _state built from the same sys, xi and
-    config.
+    config.  The forms route is not run when no n can certify it, because
+    a component is already a constant times exp(beta z) (_exp_duplicate).
     """
     xi = Fraction(xi)
     if b < 1:
@@ -178,15 +179,17 @@ def log_lower_bound(sys: DiffSystem, xi: Rational, a: int, b: int,
     target = (1,) + (0,) * (sys.m - 1) + (-1,)
     n0 = state.n0(aug, beta)
     forms_cert = None
-    forms_failure = None
-    try:
-        forms_cert = adaptive_bound(
-            aug, Fraction(1), target,
-            n_max=default_n_max(n0) if config.n_max is None else config.n_max,
-            precision_bits=config.precision_bits,
-            component_intervals=state.component_intervals(aug))
-    except ExhaustedN as exc:
-        forms_failure = f"{exc} ({len(exc.attempts)} attempts)"
+    forms_failure = _exp_duplicate(aug, xi)
+    if forms_failure is None:
+        try:
+            forms_cert = adaptive_bound(
+                aug, Fraction(1), target,
+                n_max=(default_n_max(n0) if config.n_max is None
+                       else config.n_max),
+                precision_bits=config.precision_bits,
+                component_intervals=state.component_intervals(aug))
+        except ExhaustedN as exc:
+            forms_failure = f"{exc} ({len(exc.attempts)} attempts)"
 
     # Mean value conversion: omega lies between f(1) and exp(beta).
     omega_upper = max(f_iv.hi, exp_iv.hi)
@@ -248,6 +251,22 @@ def log_lower_bound(sys: DiffSystem, xi: Rational, a: int, b: int,
         omega_upper=omega_upper, f_value=f_iv, exp_value=exp_iv,
         oracle_distance=oracle, half_value_guard=guard,
         beta_dependent_params=beta_dep, beta_independent_params=beta_indep)
+
+
+def _exp_duplicate(aug: DiffSystem, xi: Fraction) -> str | None:
+    """Why the forms route cannot certify on aug, the rescaled base with
+    exp(beta z) adjoined, when a row of the base's A is beta e_i: then
+    f_i' = beta f_i, f_i = f_i(0) exp(beta z), and the augmented components
+    are linearly dependent.  None when no row is."""
+    m = aug.m - 1
+    zero, beta = aug.A[m][0], aug.A[m][m]
+    for i, row in enumerate(aug.A[:m]):
+        if row == (zero,) * i + (beta,) + (zero,) * (m - i):
+            return (f"component {i + 1} ({aug.labels[i]}) at {xi} z is a "
+                    f"constant times {aug.labels[m]}, the component "
+                    f"adjoined, so the augmented components are linearly "
+                    f"dependent")
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -111,6 +111,13 @@ def vanishing_matrix(columns, n, tau):
              for i in range(m) for nu in range(n + 1)] for k in range(tau)]
 
 
+def fresh_span(columns, n, tau):
+    """The span at degree n of an OrderBasis advanced from order 0 to tau."""
+    basis = auxiliary.OrderBasis(len(columns))
+    basis.advance(columns, tau)
+    return basis.span(n)
+
+
 def random_matrix(rng):
     """A rows x cols rational matrix of rank at most k (a product of random
     rows x k and k x cols factors), sometimes with a zero row or column, and
@@ -164,6 +171,14 @@ class TestKernel:
     def test_needs_a_column(self):
         with pytest.raises(ValueError):
             kernel_basis([])
+
+    def test_kernel_vectors_share_the_pivot_lcm(self):
+        # L = lcm(2, 4) = 4 for every free column, though the row pivoted
+        # on 4 is zero at free column 2; kernel_basis makes each primitive
+        rows, pivots = [[2, 0, 1, 0], [0, 4, 0, 1]], [0, 1]
+        assert algebra._kernel_vectors(rows, pivots, 4) == [[-2, 0, 4, 0],
+                                                            [0, -1, 0, 4]]
+        assert kernel_basis(rows) == [(1, 0, -2, 0), (0, 1, 0, -4)]
 
 
 class TestAgainstFractionReference:
@@ -272,6 +287,27 @@ class TestCommonDenominator:
         d = math.lcm(*(c.denominator for c in coeffs))
         assert exp_numerators(beta, order) == (d, [c * d for c in coeffs])
 
+    def test_exp_numerators_at_one(self):
+        # the Taylor numerators of e^z that eval_exp reads
+        for n in range(41):
+            fac = math.factorial(n)
+            assert exp_numerators(F(1), n) == (
+                fac, [fac // math.factorial(k) for k in range(n + 1)])
+
+    def test_exp_numerators_at_minus_one(self):
+        for n in range(41):
+            fac = math.factorial(n)
+            assert exp_numerators(F(-1), n) == (
+                fac, [(-1) ** k * fac // math.factorial(k)
+                      for k in range(n + 1)])
+
+    def test_exp_numerators_with_common_factor(self):
+        # beta = 6/5 at order 4: the e_k = 6^k 5^(4-k) 4!/k! share
+        # g = gcd(4!, 6^4) = 24, so D = 5^4 4!/24 = 625; beta^k/k! is
+        # 1, 6/5, 18/25, 36/125, 54/625
+        assert math.gcd(math.factorial(4), 6 ** 4) == 24
+        assert exp_numerators(F(6, 5), 4) == (625, [625, 750, 450, 180, 54])
+
 
 integer_matrices = st.tuples(st.integers(1, 5), st.integers(1, 6)).flatmap(
     lambda shape: st.lists(st.lists(st.integers(-6, 6), min_size=shape[1],
@@ -374,7 +410,7 @@ class TestOrderBasisKernel:
         w = n + 1
         matrix = vanishing_matrix(columns, n, tau)
         kernel = ref_kernel(matrix)
-        span = auxiliary._vanishing_span(columns, n, tau)
+        span = fresh_span(columns, n, tau)
         assert auxiliary._canonical_kernel(span, len(columns) * w) == kernel
         # a basis of the kernel in weak Popov form: the z^j b_l keep the
         # pivot block l of b_l, one vector per (pivot block, degree)
@@ -404,18 +440,18 @@ class TestOrderBasisKernel:
         assert auxiliary._canonical_kernel(span, 4) == ref_kernel(matrix)
 
     def test_zero_matrix_gives_every_unit_vector(self):
-        span = auxiliary._vanishing_span([[0, 0, 0], [0, 0, 0]], 1, 3)
+        span = fresh_span([[0, 0, 0], [0, 0, 0]], 1, 3)
         assert auxiliary._canonical_kernel(span, 4) == [
             (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
 
     def test_one_column(self):
         # P F = O(z^2) with F(0) != 0 forces P = c z^2
-        span = auxiliary._vanishing_span([[1, 1, 1]], 2, 2)
+        span = fresh_span([[1, 1, 1]], 2, 2)
         assert span == [[0, 0, 1]]
         assert auxiliary._canonical_kernel(span, 3) == [(0, 0, 1)]
 
     def test_full_column_rank_has_no_span(self):
-        span = auxiliary._vanishing_span([[1, 2, 3, 5]], 1, 4)
+        span = fresh_span([[1, 2, 3, 5]], 1, 4)
         assert span == []
         assert auxiliary._canonical_kernel(span, 2) == []
 
@@ -446,7 +482,7 @@ class TestResumedOrderBasis:
             assert basis.order == tau
             span = basis.span(n)
             assert span == ref_truncated_span(columns, n, tau)
-            assert span == auxiliary._vanishing_span(columns, n, tau)
+            assert span == fresh_span(columns, n, tau)
 
     def test_rows_past_degree_n_stay(self):
         # exp(z), exp(2z), exp(3z) over 9!: order 7 leaves one row of

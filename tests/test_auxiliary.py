@@ -103,6 +103,27 @@ class TestConstruct:
         b = construct(j0, 5)
         assert a == b
 
+    def test_polys_are_a_view_of_int_polys(self, j0, kummer, exp_pair):
+        # the P_i are stored once, as integer tuples without trailing zeros;
+        # == and hash read them as they read the Poly tuple before
+        def old_key(b):
+            return (b.n, b.eps1, b.tau, b.polys, b.achieved_order,
+                    b.achieved_exact, b.height)
+
+        bases = [construct(sys, n) for sys in (j0, kummer, exp_pair)
+                 for n in (1, 2, 5)]
+        bases += [construct(build_j0(), 2), construct(j0, 2, F(1, 8))]
+        for b in bases:
+            assert b.polys == tuple(Poly(p) for p in b.int_polys)
+            assert all(type(c) is int for p in b.int_polys for c in p)
+            assert all(not p or p[-1] for p in b.int_polys)
+            assert b.m == len(b.polys)
+            assert hash(b) == hash(old_key(b))
+        for a in bases:
+            for b in bases:
+                assert (a == b) == (old_key(a) == old_key(b))
+        assert bases[1] == bases[-2] and bases[1] is not bases[-2]
+
 
 class TestResumedOrderBasis:
     def test_adaptive_loop_processes_each_order_once(self, monkeypatch):
@@ -252,6 +273,40 @@ class TestSharedRemainder:
                     == forms._scaled_form_upper_bounds(rem, rows, xi, scales,
                                                        sys.T))
         assert below_limit
+
+    @pytest.mark.parametrize("name", ["bessel", "kummer", "exp_pair",
+                                      "bessel_exp_half"])
+    def test_ladder_extends_the_store(self, name, j0, kummer, exp_pair,
+                                      monkeypatch):
+        # row 2's identity check reads N_0 = D R from the basis's store:
+        # only the coefficients past it are computed, once
+        sys = {"bessel": j0, "kummer": kummer, "exp_pair": exp_pair,
+               "bessel_exp_half": augment_exp(j0, F(1, 2))}[name]
+        calls = []
+        combination = auxiliary._combination
+
+        def counting(polys, columns, start, stop):
+            calls.append((tuple(map(tuple, polys)), start, stop))
+            return combination(polys, columns, start, stop)
+
+        monkeypatch.setattr(auxiliary, "_combination", counting)
+        monkeypatch.setattr(forms, "_combination", counting)
+        params = extract_params(sys)
+        for n in range(1, 7):
+            basis = construct(sys, n)
+            K = ladder_length(sys.m, params.q, params.p, n, basis.eps1)
+            ladder = build_ladder(basis, sys, K)
+            known = len(basis._r[1])
+            calls.clear()
+            ladder.row(1)
+            order = ladder._order
+            assert len(basis._r[1]) == order + 1
+            assert [(start, stop) for polys, start, stop in calls
+                    if polys == basis.int_polys] == [(known, order + 1)]
+            cutoff = order + 5
+            ref = ref_combination(basis.polys, sys.coefficients(cutoff), 0,
+                                  cutoff + 1)
+            assert fractions(remainder(basis, sys, cutoff)) == ref
 
     def test_ladder_identity_failure_detected(self, exp_pair, monkeypatch):
         # the integer row step gets 2 lambda T S' in place of lambda T S'

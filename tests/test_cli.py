@@ -193,6 +193,31 @@ class TestLogboundCommand:
                                 "bits")
 
 
+class TestExpDuplicateComponent:
+    @pytest.mark.parametrize("xi, approx", [("1", "2"), ("1/2", "1"),
+                                            ("-4", "-8")])
+    def test_interval_route_decides_at_once(self, xi, approx):
+        # exp_pair is (e^z, e^2z): at xi z its second component is
+        # exp(approx z), so the augmented components are dependent and the
+        # forms route, which no n certifies, is not run.  A child process, so
+        # that a hang fails on the timeout.
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "efcert.cli", "logbound", "exp_pair",
+             "--xi", xi, "--approx", approx],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0
+        res = json.loads(proc.stdout)["result"]
+        assert res["path"] == "interval"
+        assert res["forms_certificate"] is None
+        assert res["forms_failure"].startswith("component 2 (exp(2*z))")
+        bound = F(res["bound"])
+        assert 0 < bound <= F(res["oracle_distance"]["lo"])
+        # ln e^xi = xi
+        assert bound < abs(F(xi) - F(approx))
+
+
 class TestLowPrecisionLogMeasure:
     """At 2 bits, J0(12/5) ~ 0.0025 and e^-6 ~ 0.0025 are told apart
     neither from 0 nor from each other: f(xi) doubles its bits until its

@@ -202,31 +202,42 @@ class TestIntegerLadder:
 
 
 class TestIntegerProducts:
-    """forms._mul_into and forms._next_row against the forms they
-    replaced."""
+    """auxiliary._combination used as a product (forms._products) and
+    forms._next_row against the forms they replaced."""
 
     @settings(derandomize=True, max_examples=200, deadline=None)
     @given(int_polys, int_polys, st.lists(int_coeffs, max_size=12))
-    def test_mul_into_matches_reference(self, a, b, out):
-        # into an empty list, the sparse operand on either side, and added
-        # into a list shorter or longer than the product
-        assert forms._mul_into([], a, b) == ref_mul(a, b)
-        assert forms._mul_into([], list(b), list(a)) == ref_mul(a, b)
+    def test_combination_product_matches_reference(self, a, b, out):
+        # the short operand as the polynomial and the long one padded with
+        # zeros to the product's length as the column, the sparse operand on
+        # either side, and summed with a list shorter or longer than the
+        # product
         prod = ref_mul(a, b)
+        if prod:
+            assert _combination([a], [list(b) + [0] * (len(a) - 1)], 0,
+                                len(prod)) == prod
+            assert _combination([b], [list(a) + [0] * (len(b) - 1)], 0,
+                                len(prod)) == prod
+        assert forms._products([a], [b]) == prod
+        assert forms._products([list(b)], [list(a)]) == prod
         width = max(len(out), len(prod))
         expected = [x + y for x, y in zip(out + [0] * width,
                                           prod + [0] * width)][:width]
-        acc = list(out)
-        assert forms._mul_into(acc, a, b) is acc and acc == expected
+        assert forms._products([a, (1,)], [b, out]) == expected
+        assert forms._products([(1,), b], [out, a]) == expected
 
-    def test_mul_into_examples(self):
-        assert forms._mul_into([], (), (1, 2)) == []
-        assert forms._mul_into([7], (3,), ()) == [7]
-        assert forms._mul_into([], (0, 0), (5,)) == [0, 0]
+    def test_combination_product_examples(self):
+        assert forms._products([()], [(1, 2)]) == []
+        assert forms._products([(3,), (1,)], [(), [7]]) == [7]
+        assert forms._products([(0, 0)], [(5,)]) == [0, 0]
         # (1 - z)(1 + z + z^2) = 1 - z^3, the sparse operand on either side
-        assert forms._mul_into([], (1, -1), (1, 1, 1)) == [1, 0, 0, -1]
-        assert forms._mul_into([], (1, 1, 1), (1, -1)) == [1, 0, 0, -1]
-        assert forms._mul_into([1, 1], (1, -1), (1, 1, 1)) == [2, 1, 0, -1]
+        assert forms._products([(1, -1)], [(1, 1, 1)]) == [1, 0, 0, -1]
+        assert forms._products([(1, 1, 1)], [(1, -1)]) == [1, 0, 0, -1]
+        assert forms._products([(1, -1), (1,)], [(1, 1, 1), (1, 1)]) \
+            == [2, 1, 0, -1]
+        # unpadded, the long operand is a column too short for the product
+        with pytest.raises(ValueError):
+            _combination([(1, -1)], [(1, 1, 1)], 0, 4)
 
     @settings(derandomize=True, max_examples=150, deadline=None)
     @given(st.integers(1, 3).flatmap(lambda m: st.tuples(
