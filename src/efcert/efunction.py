@@ -7,10 +7,15 @@ and optionally a growth certificate (C, D) and exponent modulus bounds.
 Taylor coefficients are obtained exactly from the linear recurrence that
 equating powers of z in T Y' = (T A) Y imposes; z = 0 may be a singular
 point, so the solver treats the recurrence as an incremental sparse linear
-system and verifies that the seeds pin a unique solution.  Each system keeps
-one store of them, integer numerators over prefix lcms, which the hot loops
-read through ``integer_coefficients`` (all columns over one denominator) or
-``integer_column`` (one column); ``coefficients`` is the ``Fraction`` view.
+system and verifies that the seeds pin a unique solution.  Its equations are
+built on integers, from lambda T and lambda T A (lambda the least positive
+integer making lambda T A integral), which each system keeps from when it is
+built and the ladder in forms reads too; the rows they are reduced into and
+the values back-substituted from those rows are Fractions.  Each system
+keeps one store of the coefficients, integer numerators over prefix lcms,
+which the hot loops read through ``integer_coefficients`` (all columns over
+one denominator) or ``integer_column`` (one column); ``coefficients`` is the
+``Fraction`` view.
 A miss solves to exactly the order asked, resuming the system's one
 elimination, so each equation of the recurrence is inserted once.  A system
 with exp(beta z) adjoined keeps no store of its own: it reads its base's and
@@ -109,26 +114,29 @@ class DiffSystem:
     adjoining an exponential block exp(beta z) with den(beta) > 1, where T is
     deliberately kept fixed); ``clear_factor`` records the least positive
     integer lambda with lambda*T*A integral, which downstream denominator
-    clearing uses.  The seeds are probed on construction (_probe_seeds),
+    clearing uses.  The system keeps lambda T and lambda T A once, as
+    integer coefficient lists (_lam_t, and _lam_ta[i][j] for entry (i, j)),
+    on which the recurrence's equations are built and the ladder's rows and
+    column check run.  The seeds are probed on construction (_probe_seeds),
     except by a system with exp(beta z) adjoined, whose base was probed; the
     Taylor coefficients are kept in one integer store.  A miss solves to
     exactly the order asked by resuming one elimination of the recurrence,
-    kept with the system (its rows, back-substituted values and next
-    equation), so no equation is inserted twice.  Likewise two consumers of
-    the integer columns keep their state with the system and resume it:
-    auxiliary.construct one order basis, from the order it last reached,
-    and forms.build_ladder the integer rows lambda T and lambda T A with
-    the order to which the columns are checked against them, so each
-    column coefficient is checked once per system.
+    kept with the system (its Fraction rows, back-substituted Fraction
+    values and next equation), so no equation is inserted twice.  Likewise
+    two consumers of the integer columns keep their state with the system
+    and resume it: auxiliary.construct one order basis, from the order it
+    last reached, and forms.build_ladder the order to which the columns are
+    checked against lambda T and lambda T A, so each column coefficient is
+    checked once per system.
     """
 
     # caches, set on the instance when first filled: extract_params's
     # SystemParams, auxiliary.construct's OrderBasis of the integer columns,
-    # and forms.build_ladder's LadderStep, the ladder's integer T and T A
-    # with the order to which the columns are checked against them
+    # and forms.build_ladder's order to which the columns are checked
+    # against lambda T and lambda T A
     _params: SystemParams | None = None
     _order_basis = None
-    _ladder_step = None
+    _checked_order = 0
 
     def __init__(self, A: Sequence[Sequence[RatFunc]], T: Poly,
                  seeds: Sequence[Sequence[Rational | int]],
@@ -165,8 +173,13 @@ class DiffSystem:
         self.labels = tuple(str(s) for s in labels)
         self.growth = growth
         self.exponent_bound = _exponent_bounds(exponent_bound)
-        self.clear_factor = math.lcm(*(
+        self.clear_factor = lam = math.lcm(*(
             c.denominator for row in self.TA for p in row for c in p.coeffs))
+        # lambda T and lambda T A on integers, lambda = clear_factor: the
+        # recurrence's equations (_insert_equation) and the ladder (forms)
+        self._lam_t = [lam * c.numerator for c in T.coeffs]
+        self._lam_ta = [[[c.numerator * (lam // c.denominator)
+                          for c in p.coeffs] for p in row] for row in ta]
         # q and E of extract_params
         self._q = max(T.degree, *(p.degree for row in ta for p in row))
         self._e = max(T.max_abs_coeff(),
@@ -265,7 +278,9 @@ class DiffSystem:
 
         Together with the seed equations this is an (infinite) sparse linear
         system over the unknowns c_{k,i}, eliminated row by row with each row
-        keyed on its largest unknown.  The seeds go in first, then the
+        keyed on its largest unknown.  Each equation is built on the
+        integer lambda T and lambda T A (_insert_equation), and stored as a
+        Fraction row normalised on its pivot.  The seeds go in first, then the
         equations by ascending (N, i) up to N = order + deg T + 4; each
         equation goes in once per system, so the rows, and the values
         back-substituted from them in ascending order of pivot, are those of
@@ -307,16 +322,25 @@ class DiffSystem:
     def _insert_equation(self, n: int, i: int):
         """Insert the recurrence at order n, component i: reduce it by the
         stored rows, largest unknown first, and store it normalised on its
-        pivot.  One that reduces to 0 = rhs != 0 raises InconsistentSeeds."""
+        pivot, one Fraction per entry.  One that reduces to 0 = rhs != 0
+        raises InconsistentSeeds.
+
+        The equation is built on integers as lambda times itself, from
+        lambda T and lambda T A (lambda the clear_factor).  Most equations
+        are stored at once, each entry one Fraction(v, f) with f the
+        pivot's; one whose pivot already has a row (a seed, a singular
+        level, fill-in) is first reduced by the stored Fraction rows.  The
+        reduction is linear and the normalisation divides by the pivot's
+        coefficient, so the factor lambda changes neither the stored row
+        and rhs nor whether a reduced equation reads 0 = 0."""
         m, rows = self.m, self._rows
-        row: dict[int, Fraction] = {}
-        for s, ts in enumerate(self.T.coeffs):
+        row: dict[int, int | Fraction] = {}
+        for s, ts in enumerate(self._lam_t):
             level = n + 1 - s
             if level >= 1 and ts:
-                key = level * m + i
-                row[key] = row.get(key, 0) + ts * level
-        for j in range(m):
-            for s, us in enumerate(self.TA[i][j].coeffs):
+                row[level * m + i] = ts * level
+        for j, ta in enumerate(self._lam_ta[i]):
+            for s, us in enumerate(ta):
                 level = n - s
                 if level >= 0 and us:
                     key = level * m + j
@@ -325,15 +349,13 @@ class DiffSystem:
                         row[key] = nv
                     else:
                         row.pop(key, None)
-        rhs = Fraction(0)
+        rhs: int | Fraction = 0
         while row:
             pivot = max(row)
             if pivot not in rows:
                 f = row[pivot]
-                if f != 1:
-                    row = {c: v / f for c, v in row.items()}
-                    rhs = rhs / f
-                rows[pivot] = (row, rhs)
+                rows[pivot] = ({c: Fraction(v, f) for c, v in row.items()},
+                               Fraction(rhs, f))
                 self._pending.append(pivot)
                 return
             stored, stored_rhs = rows[pivot]
@@ -363,10 +385,13 @@ class _ExpAugmented(DiffSystem):
     two to the lcm of their denominators.  Nor are the seeds probed again:
     the base's were probed when it was built, and the seed 1 of exp(beta z)
     is its closed form's constant term, which also makes p = 0; q is the
-    base's, and E = max(E_base, |beta| max|T|).  The ladder's column check
-    splits the same way (forms._system_step): the base checks its block on
-    its own, resumed across the systems built on it, and this system checks
-    the exp column alone.
+    base's, and E = max(E_base, |beta| max|T|).  The integer lambda' T and
+    lambda' T A come from the base's too, lambda' = lcm(lambda, den beta T):
+    the base's lists times lambda' / lambda, next to lambda' beta T, so no
+    Fraction product is made for them.  The ladder's column check splits the
+    same way (forms._check_system_columns): the base checks its block on its
+    own, resumed across the systems built on it, and this system checks the
+    exp column alone.
     """
 
     def __init__(self, base: DiffSystem, beta: Fraction):
@@ -390,8 +415,15 @@ class _ExpAugmented(DiffSystem):
                                             base.growth.provenance)
         self.exponent_bound = (None if base.exponent_bound is None
                                else dict(base.exponent_bound))
-        self.clear_factor = math.lcm(base.clear_factor,
-                                     *(c.denominator for c in beta_t.coeffs))
+        self.clear_factor = lam = math.lcm(
+            base.clear_factor, *(c.denominator for c in beta_t.coeffs))
+        scale = lam // base.clear_factor
+        self._lam_t = [scale * c for c in base._lam_t]
+        self._lam_ta = (
+            [[[scale * c for c in p] for p in row] + [[]]
+             for row in base._lam_ta]
+            + [[[]] * m + [[c.numerator * (lam // c.denominator)
+                            for c in beta_t.coeffs]]])
         self._q = base._q                   # deg beta T <= deg T
         self._e = max(base._e, beta_t.max_abs_coeff())
 

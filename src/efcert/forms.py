@@ -34,8 +34,8 @@ guarantees rank m, not a number of rows to compute: rows are built, checked
 and evaluated only as the row selection reaches them, which is row 1 alone
 for most attempts.  The system's integer columns are checked against
 T f' = (T A) f to each ladder's order, which gives the ladder identity of
-every row, built or not; the check is kept with the system (LadderStep)
-and resumed, so the attempts of an adaptive loop, and the rows of a scan
+every row, built or not; the order checked is kept with the system and
+resumed, so the attempts of an adaptive loop, and the rows of a scan
 on one base, check each column coefficient once.
 """
 
@@ -90,7 +90,7 @@ class FormsLadder:
 
     def __init__(self, basis: AuxiliaryBasis, sys: DiffSystem, K: int,
                  q: int, order: int, d: int,
-                 columns: Sequence[Sequence[int]], step: LadderStep):
+                 columns: Sequence[Sequence[int]]):
         self.K = K
         self.n = basis.n
         self.q = q
@@ -101,7 +101,8 @@ class FormsLadder:
         self._order = order
         self._d = d
         self._columns = columns
-        self._step = step
+        self._lam_t = sys._lam_t
+        self._lam_ta = sys._lam_ta
         self._series: list[int] | None = None   # N_k of the last row built
         self._built = [self._checked_degrees(0, basis.int_polys)]
 
@@ -139,16 +140,15 @@ class FormsLadder:
     def _extend(self):
         """Build the next row and check it against the last one."""
         k = len(self._built)
-        step = self._step
         row = self._checked_degrees(
-            k, _next_row(self._built[-1], step.lam_t, step.lam_ta))
+            k, _next_row(self._built[-1], self._lam_t, self._lam_ta))
         order = self._order
         if self._series is None:
             self._series = _remainder_upto(self._basis, self._d,
                                            self._columns, order)
         nxt = _combination(row, self._columns, 0, order + 1)
-        derived = _combination([step.lam_t], [_derivative(self._series)], 0,
-                               order)
+        derived = _combination([self._lam_t], [_derivative(self._series)],
+                               0, order)
         if nxt[:order] != derived:
             raise AssertionError(
                 f"ladder identity failed between rows {k} and {k + 1}")
@@ -186,25 +186,6 @@ def _next_row(row: Sequence[Sequence[int]], lam_t: Sequence[int],
                  for j in range(m))
 
 
-class LadderStep:
-    """lambda T and lambda T A of one system on integers, lambda its
-    clear_factor, and the order to which its integer columns F_i = D f_i
-    are checked against them: lambda T F_i' = sum_j (lambda T A)_{i,j} F_j
-    mod z^order.  The identity is linear in the columns, so a larger common
-    denominator D between checks changes nothing, and the coefficient store
-    is append-only, so a coefficient once checked stays checked.
-    """
-
-    __slots__ = ("lam_t", "lam_ta", "order")
-
-    def __init__(self, sys: DiffSystem):
-        lam = sys.clear_factor
-        self.lam_t = [lam * c.numerator for c in sys.T.coeffs]
-        self.lam_ta = [[[int(lam * c) for c in p.coeffs] for p in row]
-                       for row in sys.TA]
-        self.order = 0
-
-
 def _check_columns(lam_t: Sequence[int],
                    rows: Sequence[Sequence[Sequence[int]]],
                    columns: Sequence[Sequence[int]], start: int, stop: int,
@@ -222,30 +203,33 @@ def _check_columns(lam_t: Sequence[int],
                 f"integer column {first + i + 1} fails T f' = (T A) f")
 
 
-def _system_step(sys: DiffSystem, order: int) -> LadderStep:
-    """The system's LadderStep, its columns checked to the order: from the
-    order already checked, so each coefficient is checked once per system.
+def _check_system_columns(sys: DiffSystem, order: int):
+    """Check the system's integer columns F_i = D f_i against its integer
+    lambda T and lambda T A, lambda its clear_factor, to the order:
+    lambda T F_i' = sum_j (lambda T A)_{i,j} F_j mod z^order.  The check
+    starts from the order the system records as checked, so each
+    coefficient is checked once per system.  The identity is linear in the
+    columns, so a larger common denominator D between checks changes
+    nothing, and the coefficient store is append-only, so a coefficient
+    once checked stays checked; a failed check records nothing.
 
     A system with exp(beta z) adjoined is block diagonal: its base checks
-    the base block on its own step, and only the exp column E is checked
-    here, lambda' T E' = (lambda' beta T) E, lambda' a multiple of the
-    base's lambda.  Together they are the identity of every column."""
-    step = sys._ladder_step
-    if step is None:
-        step = sys._ladder_step = LadderStep(sys)
-    if step.order < order:
+    the base block to its own recorded order, and only the exp column E is
+    checked here, lambda' T E' = (lambda' beta T) E, lambda' a multiple of
+    the base's lambda.  Together they are the identity of every column."""
+    checked = sys._checked_order
+    if checked < order:
         if isinstance(sys, _ExpAugmented):
-            _system_step(sys._base, order)
+            _check_system_columns(sys._base, order)
             i = sys.m - 1
-            _check_columns(step.lam_t, [[step.lam_ta[i][i]]],
-                           [sys.integer_column(i, order)[1]], step.order,
-                           order, i)
+            _check_columns(sys._lam_t, [[sys._lam_ta[i][i]]],
+                           [sys.integer_column(i, order)[1]], checked, order,
+                           i)
         else:
-            _check_columns(step.lam_t, step.lam_ta,
-                           sys.integer_coefficients(order)[1], step.order,
-                           order, 0)
-        step.order = order
-    return step
+            _check_columns(sys._lam_t, sys._lam_ta,
+                           sys.integer_coefficients(order)[1], checked, order,
+                           0)
+        sys._checked_order = order
 
 
 def build_ladder(basis: AuxiliaryBasis, sys: DiffSystem, K: int) -> FormsLadder:
@@ -257,18 +241,18 @@ def build_ladder(basis: AuxiliaryBasis, sys: DiffSystem, K: int) -> FormsLadder:
     F_i = D f_i are checked against the system to the ladder's order:
     lambda T F_i' = sum_j (lambda T A)_{i,j} F_j mod z^order.  With the
     update rule this gives N_{k+1} = lambda T N_k' for every row, built or
-    not.  The check and lambda T, lambda T A on integers are the system's
-    (LadderStep), so an order checked for an earlier ladder of the system
-    is not checked again.
+    not.  The checked order and lambda T, lambda T A on integers are the
+    system's, so an order checked for an earlier ladder of the system is
+    not checked again.
     """
     if K < 1:
         raise InputError("ladder length must be >= 1")
     check_system(basis, sys)
     q = extract_params(sys).q
     order = basis.achieved_order + K * (q + 1) + 8
-    step = _system_step(sys, order)
+    _check_system_columns(sys, order)
     d, columns = sys.integer_coefficients(order)
-    return FormsLadder(basis, sys, K, q, order, d, columns, step)
+    return FormsLadder(basis, sys, K, q, order, d, columns)
 
 
 class IntegerForms:

@@ -34,7 +34,53 @@ def ref_augment(sys, beta):
                       exponent_bound=sys.exponent_bound)
 
 
+def ref_insert_equation(sys, n, i):
+    """DiffSystem._insert_equation built in Fraction arithmetic on T and
+    T A, the equation itself rather than lambda times it."""
+    m, rows = sys.m, sys._rows
+    row = {}
+    for s, ts in enumerate(sys.T.coeffs):
+        level = n + 1 - s
+        if level >= 1 and ts:
+            key = level * m + i
+            row[key] = row.get(key, 0) + ts * level
+    for j in range(m):
+        for s, us in enumerate(sys.TA[i][j].coeffs):
+            level = n - s
+            if level >= 0 and us:
+                key = level * m + j
+                nv = row.get(key, 0) - us
+                if nv:
+                    row[key] = nv
+                else:
+                    row.pop(key, None)
+    rhs = F(0)
+    while row:
+        pivot = max(row)
+        if pivot not in rows:
+            f = row[pivot]
+            if f != 1:
+                row = {c: v / f for c, v in row.items()}
+                rhs = rhs / f
+            rows[pivot] = (row, rhs)
+            sys._pending.append(pivot)
+            return
+        stored, stored_rhs = rows[pivot]
+        f = row[pivot]
+        for c, v in stored.items():
+            nv = row.get(c, 0) - f * v
+            if nv:
+                row[c] = nv
+            else:
+                row.pop(c, None)
+        rhs = rhs - f * stored_rhs
+    if rhs != 0:
+        raise InconsistentSeeds(f"recurrence at order {n}, component "
+                                f"{i + 1} (seeds violate the system)")
+
+
 AUGMENT_BETAS = [F(0), F(-3, 7), F(3, 2), F(6, 5), F(-9, 2)]
+LIST_BETAS = [F(0), F(3, 2), F(-7, 3), F(6, 5), F(-4), F(1, 9)]
 
 
 def bessel_A():
@@ -206,6 +252,113 @@ class TestCoefficientStore:
         sys = make_system(a_mat, ((F(0),) * k + (F(5),),))
         d, (col,) = sys.integer_coefficients(3 * k)
         assert (d, col) == (1, (0,) * k + (5,) + (0,) * (2 * k))
+
+
+def fill_in_system():
+    # test_elimination_fill_in's system, at d = 3/2 and c = -5/7
+    z = Poly.x()
+    a_mat = ((RatFunc(Poly.one(), z), RatFunc(Poly.one(), z)),
+             (RatFunc.zero(), RatFunc(Poly.constant(2), z)))
+    return make_system(a_mat, ((0, F(3, 2), F(-5, 7)), (0, 0, F(-5, 7))))
+
+
+def indicial_system(seeds):
+    # test_indicial_root_past_the_seeds's y' = (6/z) y
+    return make_system(((RatFunc(Poly.constant(6), Poly.x()),),), (seeds,))
+
+
+def half_system():
+    # A = [[1/2]], T = 1: T A = 1/2 is not integral, so clear_factor = 2
+    return DiffSystem(((RatFunc.constant(F(1, 2)),),), Poly.one(), ((F(1),),))
+
+
+REFERENCE_SYSTEMS = {
+    **STORE_SYSTEMS,
+    "kummer_three_fifths": lambda: rescale(build_kummer(), F(3, 5)),
+    "fill_in": fill_in_system,
+    "indicial_pinned": lambda: indicial_system((F(0),) * 6 + (F(5),)),
+    "indicial_free": lambda: indicial_system((F(0),)),
+    "indicial_inconsistent": lambda: indicial_system((F(1),)),
+    "half": half_system}
+
+
+def solved(build, order):
+    """The elimination of the last system that build() probes, after a
+    solve to the order, and the error that the solve or the seed probe
+    raised (None for none): a system with exp(beta z) adjoined solves on
+    its base, and a system whose seed probe raises still has the rows it
+    stored before the error."""
+    probed = []
+    probe = DiffSystem._probe_seeds
+    error = None
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(DiffSystem, "_probe_seeds",
+                      lambda sys: probed.append(sys) or probe(sys))
+        try:
+            build().integer_coefficients(order)
+        except (InconsistentSeeds, UnderdeterminedSeeds) as exc:
+            error = (type(exc), str(exc))
+    sys = probed[-1]
+    return (sys._rows, sys._values, sys._pending), error
+
+
+class TestEliminationAgainstReference:
+    """The integer-built equations store exactly what ref_insert_equation,
+    the Fraction-built ones, stores: the same Fraction rows normalised on
+    their pivots, the same rhs, values and pending pivots, and the same
+    errors."""
+
+    @staticmethod
+    def both(build, order):
+        got = solved(build, order)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(DiffSystem, "_insert_equation", ref_insert_equation)
+            ref = solved(build, order)
+        return got, ref
+
+    @pytest.mark.parametrize("name", list(REFERENCE_SYSTEMS))
+    def test_solve_to_order_60(self, name):
+        got, ref = self.both(REFERENCE_SYSTEMS[name], 60)
+        assert got == ref
+        (rows, values, _), error = got
+        assert rows and all(type(v) is F for row, rhs in rows.values()
+                            for v in (*row.values(), rhs))
+        assert all(type(v) is F for v in values.values())
+        assert error == {
+            "indicial_free": (UnderdeterminedSeeds,
+                              "coefficient of z^6 in component 1 is not "
+                              "pinned; supply more seed terms"),
+            "indicial_inconsistent": (InconsistentSeeds,
+                                      "recurrence at order 0, component 1 "
+                                      "(seeds violate the system)"),
+        }.get(name)
+
+    def test_rational_t_a(self):
+        sys = half_system()
+        assert sys.clear_factor == 2 and sys.TA[0][0].coeffs == (F(1, 2),)
+        assert sys.coefficients(8)[0] == tuple(F(1, 2 ** k * math.factorial(k))
+                                                for k in range(9))
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(st.integers(1, 2).flatmap(lambda m: st.tuples(
+        st.just(m), st.integers(1, 2), st.integers(1, 3),
+        st.lists(st.tuples(st.integers(0, 2),
+                           st.lists(st.builds(F, st.integers(-6, 6),
+                                              st.integers(1, 4)),
+                                    max_size=2)),
+                 min_size=m * m, max_size=m * m),
+        st.lists(st.lists(st.builds(F, st.integers(-3, 3), st.integers(1, 3)),
+                          max_size=3), min_size=m, max_size=m))))
+    def test_small_systems_with_poles_at_0(self, case):
+        # T = c z^e and A_ij = P_ij / z^d_ij with d_ij <= e: T A = c P_ij
+        # z^(e - d_ij) has rational coefficients, so clear_factor may
+        # exceed 1, which no system built by make_system has
+        m, e, c, entries, seeds = case
+        t = Poly((0,) * e + (c,))
+        a_mat = [[RatFunc(Poly(p), Poly((0,) * min(d, e) + (1,)))
+                  for d, p in entries[i * m:(i + 1) * m]] for i in range(m)]
+        got, ref = self.both(lambda: DiffSystem(a_mat, t, seeds), 30)
+        assert got == ref
 
 
 class TestExtractParams:
@@ -417,6 +570,27 @@ class TestAugmentExp:
             q0 = extract_params(sys).q
             for beta in (F(2), F(-5, 3), F(7, 2)):
                 assert extract_params(augment_exp(sys, beta)).q == q0
+
+    @pytest.mark.parametrize("beta", LIST_BETAS)
+    def test_integer_lists_derived_from_the_base(self, beta, j0, kummer):
+        # lambda' T and lambda' T A' read off the augmented system's
+        # Fraction T and T A, lambda' its clear_factor; ref_augment's
+        # DiffSystem builds them the same way.  Over half_system's lambda = 2
+        # the base block is scaled by lambda' / lambda and lambda' beta T is
+        # not the numerators of beta T
+        for base in (j0, kummer, rescale(j0, F(2, 3)),
+                     rescale(kummer, F(3, 5)), half_system()):
+            aug = augment_exp(base, beta)
+            lam = aug.clear_factor
+            lam_t = [lam * c for c in aug.T.coeffs]
+            lam_ta = [[[lam * c for c in p.coeffs] for p in row]
+                      for row in aug.TA]
+            assert all(c.denominator == 1 for c in lam_t)
+            assert all(c.denominator == 1 for row in lam_ta for p in row
+                       for c in p)
+            assert aug._lam_t == lam_t and aug._lam_ta == lam_ta
+            ref = ref_augment(base, beta)
+            assert (ref._lam_t, ref._lam_ta) == (lam_t, lam_ta)
 
 
 class TestRescale:

@@ -13,7 +13,8 @@ from efcert import forms
 from efcert.algebra import Poly, RatFunc, cofactor, det_exact, rank
 from efcert.auxiliary import (_combination, construct, default_eps1,
                               remainder)
-from efcert.efunction import augment_exp, catalog, extract_params, make_system
+from efcert.efunction import (augment_exp, catalog, extract_params,
+                              make_system, rescale)
 from efcert.errors import (ExhaustedN, InputError, RankDeficientLadder,
                            SingularEvaluationPoint)
 from efcert.forms import (BoundCertificate, adaptive_bound, build_ladder,
@@ -21,7 +22,7 @@ from efcert.forms import (BoundCertificate, adaptive_bound, build_ladder,
 from efcert.efunction import GrowthCertificate
 from efcert.evalcert import eval_component
 
-from conftest import build_j0
+from conftest import build_j0, build_kummer
 from oracles import linear_form_oracle, ref_combination
 from test_acceptance import _criterion_5_targets
 
@@ -620,17 +621,36 @@ class TestLazyLadder:
             with pytest.raises(AssertionError, match="integer column"):
                 build_ladder(basis, sys, K)
 
+    @pytest.mark.parametrize("beta", [F(0), F(3, 2), F(-7, 3), F(6, 5),
+                                      F(-4), F(1, 9)])
+    def test_altered_exp_coefficient_detected(self, beta):
+        # one coefficient of lambda' beta T, the exp column's entry of the
+        # augmented system's integer lambda' T A', is off by one: the check
+        # of the exp column fails, and the unaltered system passes it
+        for base in (build_j0(), build_kummer(), rescale(build_j0(), F(2, 3))):
+            plain = augment_exp(base, beta)
+            build_ladder(construct(plain, 2), plain, 1)
+            i = base.m
+            for s in range(len(base.T.coeffs)):
+                aug = augment_exp(base, beta)
+                entry = list(aug._lam_ta[i][i]) or [0] * len(base.T.coeffs)
+                entry[s] += 1
+                aug._lam_ta[i][i] = entry       # the exp row is aug's own
+                with pytest.raises(AssertionError,
+                                   match=f"integer column {i + 1} fails"):
+                    build_ladder(construct(aug, 2), aug, 1)
+
 
     def test_column_check_resumes_from_the_order_checked(self, monkeypatch):
         # a fresh system checks from order 0; a ladder at order o leaves the
         # check at o, and the next ladder of the system, at a higher order,
         # checks the orders past o and catches a numerator corrupted there
         sys = build_j0()
-        assert sys._ladder_step is None
+        assert sys._checked_order == 0
         low = construct(sys, 3)
         build_ladder(low, sys, 1)
         checked = low.achieved_order + 2 + 8        # K (q + 1) + 8, q = 1
-        assert sys._ladder_step.order == checked
+        assert sys._checked_order == checked
         high = construct(sys, 6)
         order = high.achieved_order + 2 + 8
         assert order > checked + 2
@@ -641,7 +661,7 @@ class TestLazyLadder:
         for _ in range(2):                 # a failed check is not recorded
             with pytest.raises(AssertionError, match="integer column"):
                 build_ladder(high, sys, 1)
-            assert sys._ladder_step.order == checked
+            assert sys._checked_order == checked
 
     def test_each_column_coefficient_checked_once(self, monkeypatch):
         # over an adaptive loop of 14 attempts, and over rows of a scan that
@@ -662,7 +682,7 @@ class TestLazyLadder:
         assert cert.n == 14 and len(cert.attempts) == 13
         assert len(windows) > 1
         assert [w[2] for w in windows] == [0] + [w[3] for w in windows[:-1]]
-        assert windows[-1][3] == sys._ladder_step.order
+        assert windows[-1][3] == sys._checked_order
         windows.clear()
         base = build_j0()
         for n, beta in zip((1, 3, 2), (F(-1, 4), F(1, 3), F(-2, 9))):
